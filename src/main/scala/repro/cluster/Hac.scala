@@ -61,7 +61,6 @@ object Hac {
     while (i < n) {
       var j = i + 1
       while (j < n) { val v = dist(points(i), points(j)); d(i)(j) = v; d(j)(i) = v; j += 1 }
-      j = 0
       i += 1
     }
     d

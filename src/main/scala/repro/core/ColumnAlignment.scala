@@ -41,15 +41,11 @@ object ColumnAlignment {
     (q ++ t).toVector
   }
 
-  private def embedAllCols(query: SimpleTable, tables: Seq[SimpleTable],
-                           embedder: ColumnEmbedder, tfidf: TfIdf): Vector[Array[Double]] =
-    embedder.embedAll(query, tfidf) ++ tables.flatMap(t => embedder.embedAll(t, tfidf))
-
   /** Holistic alignment: constrained UPGMA + silhouette cluster count. */
   def alignHolistic(query: SimpleTable, tables: Seq[SimpleTable],
                     embedder: ColumnEmbedder, tfidf: TfIdf): Aligned = {
     val cols = allCols(query, tables)
-    val embs = embedAllCols(query, tables, embedder, tfidf)
+    val embs = tfidf.columnEmbeddings(embedder, query +: tables).flatten
     require(cols.length == embs.length, "column/embedding arity mismatch")
     val d = Hac.distMatrix(embs, VecOps.euclidean)
     val groups = cols.map(_.tableIdx).toArray
@@ -77,10 +73,10 @@ object ColumnAlignment {
     */
   def alignBipartite(query: SimpleTable, tables: Seq[SimpleTable],
                      embedder: ColumnEmbedder, tfidf: TfIdf): Aligned = {
-    val qEmb = embedder.embedAll(query, tfidf)
+    val embs = tfidf.columnEmbeddings(embedder, query +: tables)
+    val qEmb = embs.head
     val perQuery = Array.fill(query.nCols)(Vector.newBuilder[ColKey])
-    tables.foreach { t =>
-      val tEmb = embedder.embedAll(t, tfidf)
+    tables.zip(embs.tail).foreach { case (t, tEmb) =>
       val sims = for {
         qj <- query.cols.indices
         tj <- t.cols.indices

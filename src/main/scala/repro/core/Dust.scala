@@ -28,7 +28,15 @@ object Dust {
 
   /** Embed unionable tuples with the fine-tuned model. */
   def embedTuples(model: DustModel, tuples: Seq[OuterUnion.UnionTuple]): Vector[DiversifyTuples.EmbTuple] =
-    tuples.toVector.map(t => DiversifyTuples.EmbTuple(t.id, t.table, model.embed(t.pairs)))
+    tuples.toVector.zip(embed(model, tuples)).map { case (t, v) => DiversifyTuples.EmbTuple(t.id, t.table, v) }
+
+  /** The fine-tuned embedding of each tuple, in order; a token shared by
+    * several tuples is embedded once.
+    */
+  def embed(model: DustModel, tuples: Seq[OuterUnion.UnionTuple]): Vector[Array[Double]] = {
+    val tokens = model.base.lm.tokenTable()
+    tuples.iterator.map(t => model.embed(t.pairs, tokens)).toVector
+  }
 
   /** Full pipeline on the driver.
     *
@@ -47,7 +55,7 @@ object Dust {
     val lakeTuples = OuterUnion.union(query, tables, aligned)
     val queryTuples = OuterUnion.queryTuples(query)
     val lakeEmb = embedTuples(model, lakeTuples)
-    val queryEmb = queryTuples.map(t => model.embed(t.pairs))
+    val queryEmb = embed(model, queryTuples)
     val chosen = DiversifyTuples.run(lakeEmb, queryEmb, cfg.k, cfg.p, cfg.s)
     val byId = lakeTuples.map(t => t.id -> t).toMap
     Result(tables, aligned, queryTuples, lakeTuples, queryEmb, chosen.map(c => byId(c.id)))
@@ -68,7 +76,7 @@ object Dust {
     val lakeTuples = OuterUnion.union(query, tables, aligned)
     val queryTuples = OuterUnion.queryTuples(query)
     val lakeEmb = embedTuples(model, lakeTuples)
-    val queryEmb = queryTuples.map(t => model.embed(t.pairs))
+    val queryEmb = embed(model, queryTuples)
 
     val prunedDf = DiversifyTuples.sparkPrune(spark, DiversifyTuples.toDF(spark, lakeEmb), cfg.s)
     val pruned = DiversifyTuples.fromDF(prunedDf)

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.data.FineTuneData.FtPair
+import repro.embed.HashLm
 import repro.util.{Rng, VecOps}
 
 /** The DUST tuple representation model (§4): a fine-tuned head on top of the
@@ -32,8 +33,11 @@ final class DustModel(
     matVec(w2, matVec(w1, x).map(math.tanh))
 
   /** Embed a tuple given as (header, value) pairs. */
-  def embed(pairs: Seq[(String, String)]): Array[Double] =
-    embedFeatures(base.features(pairs))
+  def embed(pairs: Seq[(String, String)]): Array[Double] = embed(pairs, base.lm.tokenTable())
+
+  /** [[embed]] within a batch that shares one token table. */
+  def embed(pairs: Seq[(String, String)], tokens: HashLm.TokenTable): Array[Double] =
+    embedFeatures(base.features(pairs, tokens))
 
   def cosDist(a: Seq[(String, String)], b: Seq[(String, String)]): Double =
     VecOps.cosineDist(embed(a), embed(b))
@@ -191,8 +195,10 @@ object DustModel {
       validation: Seq[FtPair],
       cfg: TrainConfig = TrainConfig(),
   ): (DustModel, TrainStats) = {
-    def feat(ps: Seq[FtPair]) =
-      ps.map(p => (base.features(p.t1), base.features(p.t2), p.label)).toIndexedSeq
+    def feat(ps: Seq[FtPair]) = {
+      val tokens = base.lm.tokenTable()
+      ps.map(p => (base.features(p.t1, tokens), base.features(p.t2, tokens), p.label)).toIndexedSeq
+    }
     finetune(base, feat(train), feat(validation), cfg)
   }
 }

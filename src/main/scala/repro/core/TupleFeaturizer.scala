@@ -13,12 +13,15 @@ final case class TupleFeaturizer(lm: HashLm, idf: Option[String => Double] = Non
   def dim: Int = lm.dim
 
   /** Feature vector of a tuple given as (header, value) pairs. */
-  def features(pairs: Seq[(String, String)]): Array[Double] = {
+  def features(pairs: Seq[(String, String)]): Array[Double] = features(pairs, lm.tokenTable())
+
+  /** [[features]] within a batch that shares one token table. */
+  def features(pairs: Seq[(String, String)], tokens: HashLm.TokenTable): Array[Double] = {
     val toks = Serializer.tokens(pairs)
     if (toks.isEmpty) new Array[Double](lm.dim)
     else idf match {
-      case None    => lm.embedTokens(toks)
-      case Some(w) => lm.embedWeighted(toks, toks.map(t => math.max(1e-6, w(t))))
+      case None    => lm.embedTokens(toks, tokens)
+      case Some(w) => lm.embedWeighted(toks, toks.map(t => math.max(1e-6, w(t))), tokens)
     }
   }
 

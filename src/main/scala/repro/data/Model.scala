@@ -57,11 +57,13 @@ object SimpleTable {
 
 /** Whitespace/punctuation tokenizer shared by all embedding models. */
 object Tokenizer {
-  private val Split = "[^\\p{Alnum}]+"
+  // Compiled once: String.split and replaceAll compile their regex per call.
+  private val Split = java.util.regex.Pattern.compile("[^\\p{Alnum}]+")
+  private val TrailingDigits = java.util.regex.Pattern.compile("\\d+$")
 
   /** Lowercased alphanumeric tokens; empty tokens dropped. */
   def tokens(text: String): Vector[String] =
-    text.toLowerCase.split(Split).iterator.filter(_.nonEmpty).toVector
+    Split.split(text.toLowerCase).iterator.filter(_.nonEmpty).toVector
 
   /** Tokens of a whole column (all values concatenated). */
   def columnTokens(values: Seq[String]): Vector[String] =
@@ -74,5 +76,5 @@ object Tokenizer {
     * pure numbers share the empty key. Hash models use it to simulate the
     * co-occurrence structure a pre-trained model would have absorbed.
     */
-  def contextKey(token: String): String = token.replaceAll("\\d+$", "")
+  def contextKey(token: String): String = TrailingDigits.matcher(token).replaceAll("")
 }

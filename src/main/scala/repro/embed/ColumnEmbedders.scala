@@ -18,8 +18,16 @@ import repro.util.VecOps
 sealed trait ColumnEmbedder {
   def name: String
 
-  /** One embedding per column of `table`. */
-  def embedAll(table: SimpleTable, tfidf: TfIdf): Vector[Array[Double]]
+  /** One embedding per column of each table, computed afresh. A token
+    * repeated anywhere in `tables` is embedded once. Pipeline stages read
+    * embeddings through the lake's index, [[TfIdf.columnEmbeddings]], which
+    * calls this for the tables it has not seen.
+    */
+  def embedAll(tables: Seq[SimpleTable], tfidf: TfIdf): Vector[Vector[Array[Double]]]
+
+  /** One embedding per column of `table`, computed afresh. */
+  def embedAll(table: SimpleTable, tfidf: TfIdf): Vector[Array[Double]] =
+    embedAll(Vector(table), tfidf).head
 }
 
 /** Cell-level variant of a language / word model. */
@@ -27,24 +35,28 @@ final case class CellLevelEmbedder(lm: HashLm) extends ColumnEmbedder {
   val name = s"Cell-level ${lm.name}"
   private val cellLm = lm.copy(alpha = lm.alpha * 0.6)
 
-  def embedAll(table: SimpleTable, tfidf: TfIdf): Vector[Array[Double]] =
-    table.cols.indices.toVector.map { j =>
+  def embedAll(tables: Seq[SimpleTable], tfidf: TfIdf): Vector[Vector[Array[Double]]] = {
+    val tokens = cellLm.tokenTable()
+    tables.toVector.map(table => table.cols.indices.toVector.map { j =>
       val cells = table.columnValues(j)
       if (cells.isEmpty) new Array[Double](lm.dim)
-      else VecOps.normalize(VecOps.mean(cells.map(cellLm.embedText)))
-    }
+      else VecOps.normalize(VecOps.mean(cells.map(cellLm.embedText(_, tokens))))
+    })
+  }
 }
 
 /** Column-level variant: TF-IDF top-512 tokens, weighted pooling. */
 final case class ColumnLevelEmbedder(lm: HashLm) extends ColumnEmbedder {
   val name = s"Column-level ${lm.name}"
 
-  def embedAll(table: SimpleTable, tfidf: TfIdf): Vector[Array[Double]] =
-    table.cols.indices.toVector.map { j =>
+  def embedAll(tables: Seq[SimpleTable], tfidf: TfIdf): Vector[Vector[Array[Double]]] = {
+    val tokens = lm.tokenTable()
+    tables.toVector.map(table => table.cols.indices.toVector.map { j =>
       val top = tfidf.topTokens(table.columnValues(j))
       if (top.isEmpty) new Array[Double](lm.dim)
-      else lm.embedWeighted(top.map(_._1), top.map(_._2))
-    }
+      else lm.embedWeighted(top.map(_._1), top.map(_._2), tokens)
+    })
+  }
 }
 
 /** Starmie-style contextualized column embeddings: each column is mixed
@@ -58,8 +70,10 @@ final case class StarmieEmbedder(beta: Double = 0.6) extends ColumnEmbedder {
   val name = "Starmie"
   private val inner = ColumnLevelEmbedder(HashLm.starmieBase)
 
-  def embedAll(table: SimpleTable, tfidf: TfIdf): Vector[Array[Double]] = {
-    val per = inner.embedAll(table, tfidf)
+  def embedAll(tables: Seq[SimpleTable], tfidf: TfIdf): Vector[Vector[Array[Double]]] =
+    tables.toVector.zip(inner.embedAll(tables, tfidf)).map { case (table, per) => contextualize(table, per) }
+
+  private def contextualize(table: SimpleTable, per: Vector[Array[Double]]): Vector[Array[Double]] =
     per.indices.toVector.map { j =>
       val e = per(j)
       val v = new Array[Double](e.length)
@@ -75,7 +89,6 @@ final case class StarmieEmbedder(beta: Double = 0.6) extends ColumnEmbedder {
       }
       VecOps.normalize(v)
     }
-  }
 }
 
 object ColumnEmbedders {

@@ -5,8 +5,44 @@ import repro.data.{SimpleTable, Tokenizer}
 /** Corpus TF-IDF over columns (documents = columns), used by the
   * column-level embedders to select at most 512 representative tokens per
   * column — the paper's workaround for LM input limits (§6.2.3).
+  *
+  * A fitted `TfIdf` is the prepared lake, so it also holds the lake's
+  * column-embedding index: the embeddings of every table any stage has
+  * asked for, per embedder. Like Starmie's offline index, a table's columns
+  * are embedded once and every later query reads them (DESIGN.md §6).
   */
 final class TfIdf(idf: Map[String, Double], nDocs: Int) {
+
+  /** embedder (by value) → table (by reference; tables are immutable) →
+    * its column embeddings. Guarded by its own lock; the embedding work
+    * itself runs outside the lock.
+    */
+  private val index =
+    scala.collection.mutable.HashMap.empty[ColumnEmbedder, java.util.IdentityHashMap[SimpleTable, Vector[Array[Double]]]]
+
+  /** Column embeddings of each table, from the index. Tables it has not seen
+    * are embedded in one batch (`embedder.embedAll`) and added. Equal to
+    * `embedder.embedAll(table, this)` element for element; the arrays are
+    * shared with later callers and must not be mutated. Safe for concurrent
+    * use.
+    */
+  def columnEmbeddings(embedder: ColumnEmbedder, tables: Seq[SimpleTable]): Vector[Vector[Array[Double]]] = {
+    val byTable = index.synchronized(index.getOrElseUpdate(embedder, new java.util.IdentityHashMap))
+    val missed = byTable.synchronized(tables.filterNot(byTable.containsKey))
+    val fresh = if (missed.isEmpty) Vector.empty else embedder.embedAll(missed, this)
+    byTable.synchronized {
+      missed.zip(fresh).foreach { case (t, e) => byTable.putIfAbsent(t, e) }
+      tables.iterator.map(byTable.get).toVector
+    }
+  }
+
+  def columnEmbeddings(embedder: ColumnEmbedder, table: SimpleTable): Vector[Array[Double]] =
+    columnEmbeddings(embedder, Vector(table)).head
+
+  /** The same fitted corpus with an empty index, for timing the embedding
+    * work a query does on a lake no earlier query has touched.
+    */
+  def withEmptyIndex(): TfIdf = new TfIdf(idf, nDocs)
 
   /** IDF of a token; unseen tokens get the max IDF. */
   def idfOf(token: String): Double =

@@ -5,7 +5,8 @@ import repro.embed.TfIdf
 
 /** Shared, lazily-built benchmark instances and fitted TF-IDF corpora, so
   * every experiment and bench suite sees identical data (all generators are
-  * deterministic in their seeds).
+  * deterministic in their seeds). A shared corpus also shares its lake's
+  * column-embedding index across suites.
   */
 object Benchmarks {
   lazy val tus: LakeBenchmark        = Generators.tusLite

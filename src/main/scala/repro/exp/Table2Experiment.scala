@@ -38,7 +38,7 @@ object Table2Experiment {
         val aligned = ColumnAlignment.alignHolistic(q, tables, ColumnEmbedders.dustDefault, tfidf)
         val lakeTuples = OuterUnion.union(q, tables, aligned)
         val lakeEmb = Dust.embedTuples(model, lakeTuples)
-        val queryEmb = OuterUnion.queryTuples(q).map(t => model.embed(t.pairs))
+        val queryEmb = Dust.embed(model, OuterUnion.queryTuples(q))
         Some(QueryInstance(q.name, DiversifyTuples.prune(lakeEmb, s), queryEmb))
       }
     }

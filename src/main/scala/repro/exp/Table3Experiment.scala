@@ -36,17 +36,16 @@ object Table3Experiment {
         val aligned = ColumnAlignment.alignHolistic(q, gtTables, ColumnEmbedders.dustDefault, tfidf)
         val lakeTuples = OuterUnion.union(q, gtTables, aligned)
         val queryTuples = OuterUnion.queryTuples(q)
-        val queryEmb = queryTuples.map(t => model.embed(t.pairs))
+        val queryEmb = Dust.embed(model, queryTuples)
         val kk = math.min(k, math.max(1, lakeTuples.size - 1))
 
         // Starmie as a tuple index: most-similar k tuples.
-        val starmieSel = TupleSearch.topK(lakeTuples, queryTuples, kk)
-          .map(t => model.embed(t.pairs))
+        val starmieSel = Dust.embed(model, TupleSearch.topK(lakeTuples, queryTuples, kk))
 
         // DUST end-to-end over its own searched tables.
         val dust = Dust.run(q, bench, model, Dust.Config(topN = gtTables.size, k = kk),
                             tfidfOpt = Some(tfidf))
-        val dustSel = dust.selected.map(t => model.embed(t.pairs))
+        val dustSel = Dust.embed(model, dust.selected)
 
         val llmSel =
           if (includeLlm)

@@ -60,8 +60,8 @@ object D3L {
 
   /** Table score: greedy best column matching over aggregated signals. */
   def tableScore(q: SimpleTable, t: SimpleTable, tfidf: TfIdf): Double = {
-    val qEmb = embedder.embedAll(q, tfidf)
-    val tEmb = embedder.embedAll(t, tfidf)
+    val qEmb = tfidf.columnEmbeddings(embedder, q)
+    val tEmb = tfidf.columnEmbeddings(embedder, t)
     val scored = for { qj <- q.cols.indices; tj <- t.cols.indices }
       yield (columnScore(q, qj, t, tj, qEmb(qj), tEmb(tj)), qj, tj)
     val usedQ = scala.collection.mutable.HashSet.empty[Int]
@@ -73,10 +73,12 @@ object D3L {
     total / q.nCols
   }
 
-  def rankTables(query: SimpleTable, bench: LakeBenchmark, tfidf: TfIdf): Vector[UnionSearch.Scored] =
+  def rankTables(query: SimpleTable, bench: LakeBenchmark, tfidf: TfIdf): Vector[UnionSearch.Scored] = {
+    tfidf.columnEmbeddings(embedder, query +: bench.lake) // index the lake in one batch
     bench.lake
       .map(t => UnionSearch.Scored(t, tableScore(query, t, tfidf)))
       .sortBy(s => (-s.score, s.table.name))
+  }
 
   def searchTables(query: SimpleTable, bench: LakeBenchmark, topN: Int, tfidf: TfIdf): Vector[SimpleTable] =
     rankTables(query, bench, tfidf).take(topN).map(_.table)

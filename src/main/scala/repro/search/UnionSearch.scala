@@ -33,12 +33,15 @@ object UnionSearch {
     total / qEmb.size
   }
 
-  /** Rank the whole lake against a query; descending score. */
+  /** Rank the whole lake against a query; descending score. Column
+    * embeddings come from the lake's index, so only the first query on a
+    * lake embeds it.
+    */
   def rankTables(query: SimpleTable, bench: LakeBenchmark,
                  embedder: ColumnEmbedder, tfidf: TfIdf): Vector[Scored] = {
-    val qEmb = embedder.embedAll(query, tfidf)
-    bench.lake
-      .map(t => Scored(t, unionabilityScore(qEmb, embedder.embedAll(t, tfidf))))
+    val embs = tfidf.columnEmbeddings(embedder, query +: bench.lake)
+    bench.lake.zip(embs.tail)
+      .map { case (t, tEmb) => Scored(t, unionabilityScore(embs.head, tEmb)) }
       .sortBy(s => (-s.score, s.table.name))
   }
 

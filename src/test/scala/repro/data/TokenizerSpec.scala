@@ -1,5 +1,7 @@
 package repro.data
 
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import repro.SparkSpec
 
 class TokenizerSpec extends SparkSpec {
@@ -45,5 +47,25 @@ class TokenizerSpec extends SparkSpec {
 
   test("different columns get different context keys") {
     assert(Tokenizer.contextKey("t5c1v3") != Tokenizer.contextKey("t5c2v3"))
+  }
+
+  test("property: precompiled patterns give what String.split and replaceAll give") {
+    def splitTokens(text: String) = text.toLowerCase.split("[^\\p{Alnum}]+").iterator.filter(_.nonEmpty).toVector
+    def replaceKey(token: String) = token.replaceAll("\\d+$", "")
+    val char = Gen.frequency(
+      4 -> Gen.alphaNumChar,
+      2 -> Gen.oneOf(" ,.;:-_/!#\n\t".toSeq),
+      1 -> Gen.oneOf("éßÄİıΩ中日٣１²".toSeq))
+    val text = Gen.chooseNum(0, 14).flatMap(n => Gen.listOfN(n, char).map(_.mkString))
+    val punct = Gen.listOf(Gen.oneOf(" ,.;:-_/!#".toSeq)).map(_.mkString)
+    val sampled = Seq(text, Gen.numStr, punct).flatMap { g =>
+      (0 until 200).flatMap(i => g.apply(Gen.Parameters.default, Seed(77L + i)))
+    }
+    val edge = Vector("", "0", "483", "0070", "!!!", "  ,;- ", "\n", "t3c2v17", "com9\n", "abc12\n",
+                      "Ab12Cd34", "çà", "日本語", "٣٤", "x١٢", "ß9")
+    (edge ++ sampled).foreach { s =>
+      assert(Tokenizer.tokens(s) == splitTokens(s), s"tokens of ${s.map(_.toInt)}")
+      assert(Tokenizer.contextKey(s) == replaceKey(s), s"contextKey of ${s.map(_.toInt)}")
+    }
   }
 }

@@ -75,6 +75,21 @@ class TextModelsSpec extends SparkSpec {
     assert(sim(HashLm.fastText) > sim(HashLm.glove) + 0.2)
   }
 
+  test("a shared token table pools bit-identical vectors") {
+    val lm = HashLm.roberta
+    val table = lm.tokenTable()
+    val texts = Seq(Seq("a", "b", "a"), Seq("b", "c"), Seq("a"), Seq("c", "c", "b"))
+    texts.foreach { toks =>
+      assert(java.util.Arrays.equals(lm.embedTokens(toks, table), lm.embedTokens(toks)))
+      val ws = toks.indices.map(_ + 1.0)
+      assert(java.util.Arrays.equals(lm.embedWeighted(toks, ws, table), lm.embedWeighted(toks, ws)))
+    }
+  }
+
+  test("a token table rejects another model") {
+    intercept[IllegalArgumentException](HashLm.bert.embedTokens(Seq("a"), HashLm.roberta.tokenTable()))
+  }
+
   test("table-1 model registry covers the paper's rows") {
     assert(HashLm.all.map(_.name) == Vector("FastText", "Glove", "BERT", "RoBERTa", "sBERT"))
   }
