@@ -3,13 +3,11 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.exp._
 
-/** spark-submit entrypoints — one per reproduced table. Each prints the
-  * table exactly as the bench suite does; the SparkSession is created for
-  * the Spark-backed steps (Parquet lake, distributed prune/rerank) even
-  * where the experiment core is driver-side, so `spark-submit` semantics
-  * hold throughout.
-  */
 object JobUtil {
+
+  /** A local SparkSession for the Spark path (`Dust.runSpark`), stopped
+    * when `body` returns.
+    */
   def withSpark[A](name: String)(body: SparkSession => A): A = {
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
@@ -21,15 +19,18 @@ object JobUtil {
   }
 }
 
+// One entrypoint per reproduced table; each prints the table exactly as the
+// bench suite does. The experiments run on the driver and open no SparkSession.
+
 /** Fig 5 — benchmark statistics. */
 object Fig5Job {
   def main(args: Array[String]): Unit =
-    JobUtil.withSpark("dust-fig5")(_ => println(Fig5Stats.render(Fig5Stats.all())))
+    println(Fig5Stats.render(Fig5Stats.all()))
 }
 
 /** Table 1 — column alignment effectiveness. */
 object Table1Job {
-  def main(args: Array[String]): Unit = JobUtil.withSpark("dust-table1") { _ =>
+  def main(args: Array[String]): Unit = {
     val rows = Table1Experiment.run(Seq(Benchmarks.tusSampled, Benchmarks.santos, Benchmarks.ugen))
     println(Table1Experiment.render(rows))
   }
@@ -38,12 +39,12 @@ object Table1Job {
 /** Fig 6 — tuple representation accuracy. */
 object Fig6Job {
   def main(args: Array[String]): Unit =
-    JobUtil.withSpark("dust-fig6")(_ => println(Fig6Experiment.render(Fig6Experiment.run())))
+    println(Fig6Experiment.render(Fig6Experiment.run()))
 }
 
 /** Table 2 — diversification effectiveness/efficiency. */
 object Table2Job {
-  def main(args: Array[String]): Unit = JobUtil.withSpark("dust-table2") { _ =>
+  def main(args: Array[String]): Unit = {
     val rs = Seq(
       Table2Experiment.run(Benchmarks.santos, Benchmarks.santosK, includeGne = false),
       Table2Experiment.run(Benchmarks.ugen, Benchmarks.ugenK, includeGne = true),
@@ -54,7 +55,7 @@ object Table2Job {
 
 /** Table 3 — DUST vs table search techniques. */
 object Table3Job {
-  def main(args: Array[String]): Unit = JobUtil.withSpark("dust-table3") { _ =>
+  def main(args: Array[String]): Unit = {
     val rs = Seq(
       Table3Experiment.run(Benchmarks.santos, Benchmarks.santosK, includeLlm = false),
       Table3Experiment.run(Benchmarks.ugen, Benchmarks.ugenK, includeLlm = true),
@@ -65,7 +66,7 @@ object Table3Job {
 
 /** Fig 7 + A.2.2/A.2.3 — scaling, pruning and p analyses. */
 object ScalingJob {
-  def main(args: Array[String]): Unit = JobUtil.withSpark("dust-scaling") { _ =>
+  def main(args: Array[String]): Unit = {
     println(ScalingExperiment.renderTimings(
       ScalingExperiment.varyS(Seq(400, 800, 1600, 3200), k = 50), "s"))
     println(ScalingExperiment.renderTimings(
@@ -75,7 +76,6 @@ object ScalingJob {
 
 /** Fig 8 — IMDB case study novel-value counts. */
 object CaseStudyJob {
-  def main(args: Array[String]): Unit = JobUtil.withSpark("dust-casestudy") { _ =>
+  def main(args: Array[String]): Unit =
     println(CaseStudyExperiment.render(CaseStudyExperiment.run(Seq(20, 40, 60))))
-  }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.cluster.Hac
 import repro.util.VecOps
@@ -19,15 +18,14 @@ import repro.util.VecOps
   * The driver-side functions are the algorithmic core (and what the
   * efficiency experiments time, matching the paper's single-node runs);
   * `sparkPrune` / `sparkRerank` express steps 1 and 3 as Spark dataflows
-  * over `(id, table, vec)` frames for lake-scale runs and are tested equal
-  * to the driver core and to DuckDB SQL.
+  * over `(id, table, vec)` frames for lake-scale runs; each returns the
+  * driver step's output in the driver's order (tested, and checked against
+  * DuckDB SQL).
   */
 object DiversifyTuples {
 
   /** A tuple in embedding space. */
   final case class EmbTuple(id: Long, table: String, vec: Array[Double])
-
-  type Dist = (Array[Double], Array[Double]) => Double
 
   // ------------------------------------------------------------------
   // Driver core
@@ -36,60 +34,62 @@ object DiversifyTuples {
   /** §5.1 — keep the global top-s tuples by distance from their table mean.
     * Deterministic: ties broken by ascending id.
     */
-  def prune(tuples: Vector[EmbTuple], s: Int, dist: Dist = VecOps.cosineDist): Vector[EmbTuple] = {
+  def prune(tuples: Vector[EmbTuple], s: Int): Vector[EmbTuple] = {
     if (tuples.size <= s) return tuples
     val means: Map[String, Array[Double]] =
       tuples.groupBy(_.table).view.mapValues(ts => VecOps.mean(ts.map(_.vec))).toMap
     tuples
-      .map(t => (t, dist(means(t.table), t.vec)))
+      .map(t => (t, VecOps.cosineDist(means(t.table), t.vec)))
       .sortBy { case (t, d) => (-d, t.id) }
       .take(s)
       .map(_._1)
   }
 
   /** §5.2 — cluster into `nClusters` and return each cluster's medoid. */
-  def clusterMedoids(cands: Vector[EmbTuple], nClusters: Int,
-                     dist: Dist = VecOps.cosineDist): Vector[EmbTuple] = {
+  def clusterMedoids(cands: Vector[EmbTuple], nClusters: Int): Vector[EmbTuple] = {
     if (cands.isEmpty) return cands
     val m = math.min(nClusters, cands.size)
-    val labels = Hac.clusterLabels(cands.map(_.vec), m, dist)
+    val labels = Hac.clusterLabels(cands.map(_.vec), m, VecOps.cosineDist)
     cands.indices
       .groupBy(labels(_))
       .toVector
       .sortBy(_._1)
       .map { case (_, members) =>
         val vs = members.map(cands(_).vec).toIndexedSeq
-        cands(members(VecOps.medoidIndex(vs, dist)))
+        cands(members(VecOps.medoidIndex(vs, VecOps.cosineDist)))
       }
   }
 
   /** §5.3 — rank by (min distance to query desc, avg distance desc, id asc). */
-  def rerank(cands: Vector[EmbTuple], query: Seq[Array[Double]], k: Int,
-             dist: Dist = VecOps.cosineDist): Vector[EmbTuple] = {
+  def rerank(cands: Vector[EmbTuple], query: Seq[Array[Double]], k: Int): Vector[EmbTuple] = {
     require(query.nonEmpty, "rerank needs query tuples")
     cands
       .map { t =>
-        val ds = query.map(q => dist(t.vec, q))
-        (t, ds.min, ds.sum / ds.size)
+        val (mn, avg) = queryDistance(t.vec, query)
+        (t, mn, avg)
       }
       .sortBy { case (t, mn, avg) => (-mn, -avg, t.id) }
       .take(k)
       .map(_._1)
   }
 
+  /** Min and average distance from `v` to the query tuples, summed in query order. */
+  private def queryDistance(v: Array[Double], query: Seq[Array[Double]]): (Double, Double) = {
+    val ds = query.map(q => VecOps.cosineDist(v, q))
+    (ds.min, ds.sum / ds.size)
+  }
+
   /** Full Algorithm 2 on the driver. */
   def run(tuples: Vector[EmbTuple], query: Seq[Array[Double]], k: Int,
-          p: Int = 2, s: Int = 2500, dist: Dist = VecOps.cosineDist): Vector[EmbTuple] = {
-    val pruned = prune(tuples, s, dist)
-    val cands = clusterMedoids(pruned, k * p, dist)
-    rerank(cands, query, k, dist)
+          p: Int = 2, s: Int = 2500): Vector[EmbTuple] = {
+    val pruned = prune(tuples, s)
+    val cands = clusterMedoids(pruned, k * p)
+    rerank(cands, query, k)
   }
 
   // ------------------------------------------------------------------
   // Spark dataflow versions. Frames carry (id LONG, table STRING, vec ARRAY<DOUBLE>).
   // ------------------------------------------------------------------
-
-  import org.apache.spark.sql.Row
 
   def toDF(spark: SparkSession, tuples: Seq[EmbTuple]): DataFrame = {
     import spark.implicits._
@@ -101,54 +101,52 @@ object DiversifyTuples {
       EmbTuple(r.getLong(0), r.getString(1), r.getSeq[Double](2).toArray)
     }
 
-  /** Distributed §5.1: per-table mean via explode/groupBy, cosine distance
-    * from the mean assembled from sufficient statistics, global top-s.
+  /** Distributed §5.1: exactly [[prune]]'s output, in its order. Each table's
+    * rows are sorted by id — ids follow input order — so the mean and the
+    * scores are summed as [[prune]] sums them; the global top-s is an
+    * `orderBy.limit` (TakeOrderedAndProject). An input of at most s tuples
+    * is returned as it came, as [[prune]] returns it.
     */
   def sparkPrune(spark: SparkSession, tuplesDf: DataFrame, s: Int): DataFrame = {
-    val exploded = tuplesDf
-      .select(col("id"), col("table"), posexplode(col("vec")).as(Seq("pos", "x")))
-    val meanByTablePos = exploded
-      .groupBy("table", "pos")
-      .agg(avg("x") as "m")
-    val stats = exploded
-      .join(meanByTablePos, Seq("table", "pos"))
-      .groupBy("id", "table")
-      .agg(
-        sum(col("x") * col("m")) as "dot",
-        sqrt(sum(col("x") * col("x"))) as "nx",
-        sqrt(sum(col("m") * col("m"))) as "nm",
-      )
-      .withColumn("score",
-        when(col("nx") * col("nm") > lit(0.0),
-             lit(1.0) - col("dot") / (col("nx") * col("nm"))).otherwise(lit(1.0)))
-    val ranked = stats
-      .withColumn("rk", row_number().over(Window.orderBy(col("score").desc, col("id").asc)))
-      .where(col("rk") <= s)
-      .select("id")
-    tuplesDf.join(ranked, "id")
+    import spark.implicits._
+    if (tuplesDf.count() <= s) return tuplesDf
+    tuplesDf.select("id", "table", "vec").as[(Long, String, Array[Double])]
+      .groupByKey(_._2)
+      .flatMapGroups { (_, rows) =>
+        val ts = rows.toVector.sortBy(_._1)
+        val mean = VecOps.mean(ts.map(_._3))
+        ts.map { case (id, table, vec) => (id, table, vec, VecOps.cosineDist(mean, vec)) }
+      }
+      .toDF("id", "table", "vec", "score")
+      .orderBy(col("score").desc, col("id").asc)
+      .limit(s)
+      .select("id", "table", "vec")
   }
 
-  private val cosDistUdf = udf { (a: Seq[Double], b: Seq[Double]) =>
-    VecOps.cosineDist(a.toArray, b.toArray)
-  }
-
-  /** Distributed §5.3: cross join with the query tuples, min/avg aggregate,
-    * rank desc with the paper's tie-break, top-k.
+  /** Distributed §5.3: cross join with the query tuples, one group per
+    * candidate that carries its vector and takes the min and average
+    * distance in query-id order as [[rerank]] does, then the top-k by
+    * `orderBy.limit`. The k rows are collected and numbered from 1 in `rk`.
     */
   def sparkRerank(spark: SparkSession, candDf: DataFrame, queryDf: DataFrame, k: Int): DataFrame = {
-    val q = queryDf.select(col("id") as "qid", col("vec") as "qvec")
-    val scored = candDf
-      .crossJoin(q)
-      .select(col("id"), col("table"), col("vec"),
-              cosDistUdf(col("vec"), col("qvec")) as "d")
-      .groupBy("id", "table")
-      .agg(min("d") as "rankScore", avg("d") as "tieScore")
-    val vecs = candDf.select(col("id"), col("vec"))
-    scored
-      .withColumn("rk", row_number().over(
-        Window.orderBy(col("rankScore").desc, col("tieScore").desc, col("id").asc)))
-      .where(col("rk") <= k)
-      .join(vecs, "id")
-      .select("id", "table", "vec", "rankScore", "tieScore", "rk")
+    import spark.implicits._
+    val top = candDf.select("id", "table", "vec")
+      .crossJoin(queryDf.select(col("id") as "qid", col("vec") as "qvec"))
+      .as[(Long, String, Array[Double], Long, Array[Double])]
+      .groupByKey(_._1)
+      .mapGroups { (id, rows) =>
+        val byQuery = rows.toVector.sortBy(_._4)
+        val (_, table, vec, _, _) = byQuery.head
+        val (mn, avg) = queryDistance(vec, byQuery.map(_._5))
+        (id, table, vec, mn, avg)
+      }
+      .toDF("id", "table", "vec", "rankScore", "tieScore")
+      .orderBy(col("rankScore").desc, col("tieScore").desc, col("id").asc)
+      .limit(k)
+      .as[(Long, String, Array[Double], Double, Double)]
+      .collect()
+    top.toSeq.zipWithIndex
+      .map { case ((id, table, vec, mn, avg), i) => (id, table, vec, mn, avg, i + 1) }
+      .toDF("id", "table", "vec", "rankScore", "tieScore", "rk")
   }
 }

@@ -47,28 +47,35 @@ object Dust {
   def run(query: SimpleTable, bench: LakeBenchmark, model: DustModel, cfg: Config,
           embedder: ColumnEmbedder = ColumnEmbedders.dustDefault,
           tfidfOpt: Option[TfIdf] = None,
-          tablesOverride: Option[Vector[SimpleTable]] = None): Result = {
-    val tfidf = tfidfOpt.getOrElse(TfIdf.fit(bench.lake :+ query))
-    val tables = tablesOverride.getOrElse(
-      UnionSearch.searchTables(query, bench, cfg.topN, embedder, tfidf))
-    val aligned = ColumnAlignment.alignHolistic(query, tables, embedder, tfidf)
-    val lakeTuples = OuterUnion.union(query, tables, aligned)
-    val queryTuples = OuterUnion.queryTuples(query)
-    val lakeEmb = embedTuples(model, lakeTuples)
-    val queryEmb = embed(model, queryTuples)
-    val chosen = DiversifyTuples.run(lakeEmb, queryEmb, cfg.k, cfg.p, cfg.s)
-    val byId = lakeTuples.map(t => t.id -> t).toMap
-    Result(tables, aligned, queryTuples, lakeTuples, queryEmb, chosen.map(c => byId(c.id)))
-  }
+          tablesOverride: Option[Vector[SimpleTable]] = None): Result =
+    pipeline(query, bench, model, cfg, embedder, tfidfOpt, tablesOverride) { (lakeEmb, queryEmb) =>
+      DiversifyTuples.run(lakeEmb, queryEmb, cfg.k, cfg.p, cfg.s)
+    }
 
   /** Same pipeline with the prune and re-rank steps executed as Spark
     * dataflows over the embedded-tuple frames (the lake-scale deployment
-    * path; equal output to [[run]] by the equivalence tests).
+    * path); clustering stays on the driver. Selects what [[run]] selects.
     */
   def runSpark(spark: SparkSession, query: SimpleTable, bench: LakeBenchmark, model: DustModel,
                cfg: Config, embedder: ColumnEmbedder = ColumnEmbedders.dustDefault,
                tfidfOpt: Option[TfIdf] = None,
-               tablesOverride: Option[Vector[SimpleTable]] = None): Result = {
+               tablesOverride: Option[Vector[SimpleTable]] = None): Result =
+    pipeline(query, bench, model, cfg, embedder, tfidfOpt, tablesOverride) { (lakeEmb, queryEmb) =>
+      import DiversifyTuples._
+      val pruned = fromDF(sparkPrune(spark, toDF(spark, lakeEmb), cfg.s))
+      val medoids = clusterMedoids(pruned, cfg.k * cfg.p)
+      val queryDf = toDF(spark, queryEmb.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, query.name, v) })
+      fromDF(sparkRerank(spark, toDF(spark, medoids), queryDf, cfg.k).orderBy("rk"))
+    }
+
+  /** SearchTables → AlignColumns → OuterUnion → EmbedTuples, then
+    * `diversify(lake embeddings, query embeddings)`.
+    */
+  private def pipeline(query: SimpleTable, bench: LakeBenchmark, model: DustModel, cfg: Config,
+                       embedder: ColumnEmbedder, tfidfOpt: Option[TfIdf],
+                       tablesOverride: Option[Vector[SimpleTable]])(
+      diversify: (Vector[DiversifyTuples.EmbTuple], Vector[Array[Double]]) => Vector[DiversifyTuples.EmbTuple]
+  ): Result = {
     val tfidf = tfidfOpt.getOrElse(TfIdf.fit(bench.lake :+ query))
     val tables = tablesOverride.getOrElse(
       UnionSearch.searchTables(query, bench, cfg.topN, embedder, tfidf))
@@ -77,14 +84,7 @@ object Dust {
     val queryTuples = OuterUnion.queryTuples(query)
     val lakeEmb = embedTuples(model, lakeTuples)
     val queryEmb = embed(model, queryTuples)
-
-    val prunedDf = DiversifyTuples.sparkPrune(spark, DiversifyTuples.toDF(spark, lakeEmb), cfg.s)
-    val pruned = DiversifyTuples.fromDF(prunedDf)
-    val medoids = DiversifyTuples.clusterMedoids(pruned, cfg.k * cfg.p)
-    val queryDf = DiversifyTuples.toDF(spark,
-      queryEmb.zipWithIndex.map { case (v, i) => DiversifyTuples.EmbTuple(i.toLong, query.name, v) })
-    val topDf = DiversifyTuples.sparkRerank(spark, DiversifyTuples.toDF(spark, medoids), queryDf, cfg.k)
-    val chosen = DiversifyTuples.fromDF(topDf.orderBy("rk").select("id", "table", "vec"))
+    val chosen = diversify(lakeEmb, queryEmb)
     val byId = lakeTuples.map(t => t.id -> t).toMap
     Result(tables, aligned, queryTuples, lakeTuples, queryEmb, chosen.map(c => byId(c.id)))
   }

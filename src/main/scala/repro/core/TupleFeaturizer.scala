@@ -25,9 +25,6 @@ final case class TupleFeaturizer(lm: HashLm, idf: Option[String => Double] = Non
     }
   }
 
-  def featuresOfSerialized(serialized: String): Array[Double] =
-    features(Vector(("", serialized))) // tokens() re-tokenizes; header empty
-
   /** Cosine distance between two tuples in this base space. */
   def cosDist(a: Seq[(String, String)], b: Seq[(String, String)]): Double =
     VecOps.cosineDist(features(a), features(b))

@@ -2,7 +2,6 @@ package repro.divbase
 
 import repro.core.DiversifyTuples
 import repro.core.DiversifyTuples.EmbTuple
-import repro.util.VecOps
 
 /** CLT — clustering-based diversification (van Leuken et al. [49]).
   *
@@ -11,9 +10,9 @@ import repro.util.VecOps
   * identical to DUST's for a fair comparison). Ignores the query tuples —
   * the gap DUST's re-ranking step closes.
   */
-final case class Clt(dist: DivAlgo.Dist = VecOps.cosineDist) extends DivAlgo {
+final case class Clt() extends DivAlgo {
   val name = "CLT"
 
   def select(cands: Vector[EmbTuple], query: Vector[Array[Double]], k: Int): Vector[EmbTuple] =
-    DiversifyTuples.clusterMedoids(cands, k, dist).take(k)
+    DiversifyTuples.clusterMedoids(cands, k).take(k)
 }

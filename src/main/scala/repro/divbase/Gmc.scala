@@ -18,8 +18,7 @@ import repro.util.VecOps
   * iteration — the quadratic-in-s runtime the paper measures in Fig 7(a).
   * λ defaults to the standard MMR trade-off (0.5).
   */
-final case class Gmc(lambda: Double = 0.5,
-                     dist: DivAlgo.Dist = VecOps.cosineDist) extends DivAlgo {
+final case class Gmc(lambda: Double = 0.5) extends DivAlgo {
   val name = "GMC"
 
   def select(cands: Vector[EmbTuple], query: Vector[Array[Double]], k: Int): Vector[EmbTuple] = {
@@ -46,7 +45,7 @@ final case class Gmc(lambda: Double = 0.5,
             var j = 0
             while (j < n) {
               if (j != i && !inSel(j)) {
-                val d = dist(cands(i).vec, cands(j).vec)
+                val d = VecOps.cosineDist(cands(i).vec, cands(j).vec)
                 if (d > maxRemaining) maxRemaining = d
               }
               j += 1
@@ -65,7 +64,7 @@ final case class Gmc(lambda: Double = 0.5,
       selected += cands(best)
       var j = 0
       while (j < n) {
-        if (!inSel(j)) sumDist(j) += dist(cands(j).vec, cands(best).vec)
+        if (!inSel(j)) sumDist(j) += VecOps.cosineDist(cands(j).vec, cands(best).vec)
         j += 1
       }
       picked += 1

@@ -12,8 +12,7 @@ import repro.util.{Rng, VecOps}
   * best set seen. Deliberately expensive (the paper's slowest baseline).
   */
 final case class Gne(lambda: Double = 0.5, iterations: Int = 10, rcl: Int = 3,
-                     swapTries: Int = 200, seed: Long = 5150,
-                     dist: DivAlgo.Dist = VecOps.cosineDist) extends DivAlgo {
+                     swapTries: Int = 200, seed: Long = 5150) extends DivAlgo {
   val name = "GNE"
 
   def select(cands: Vector[EmbTuple], query: Vector[Array[Double]], k: Int): Vector[EmbTuple] = {
@@ -42,7 +41,7 @@ final case class Gne(lambda: Double = 0.5, iterations: Int = 10, rcl: Int = 3,
         sel += choice
         var j = 0
         while (j < n) {
-          if (!inSel(j)) sumDist(j) += dist(cands(j).vec, cands(choice).vec)
+          if (!inSel(j)) sumDist(j) += VecOps.cosineDist(cands(j).vec, cands(choice).vec)
           j += 1
         }
         picked += 1
@@ -51,7 +50,7 @@ final case class Gne(lambda: Double = 0.5, iterations: Int = 10, rcl: Int = 3,
     }
 
     def score(sel: Vector[Int]): Double =
-      DivAlgo.setScore(sel.map(cands(_)), centroid, lambda, dist)
+      DivAlgo.setScore(sel.map(cands(_)), centroid, lambda, VecOps.cosineDist)
 
     var bestSel = construct()
     var bestScore = score(bestSel)

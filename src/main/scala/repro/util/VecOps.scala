@@ -39,21 +39,11 @@ object VecOps {
     s
   }
 
-  /** a + b into a fresh array. */
-  def add(a: Array[Double], b: Array[Double]): Array[Double] = {
-    val r = new Array[Double](a.length)
-    var i = 0
-    while (i < a.length) { r(i) = a(i) + b(i); i += 1 }
-    r
-  }
-
   /** a += w * b in place. */
   def addInPlace(a: Array[Double], b: Array[Double], w: Double = 1.0): Unit = {
     var i = 0
     while (i < a.length) { a(i) += w * b(i); i += 1 }
   }
-
-  def scale(a: Array[Double], w: Double): Array[Double] = a.map(_ * w)
 
   /** Unit-normalize (copy); zero vector stays zero. */
   def normalize(a: Array[Double]): Array[Double] = {

@@ -71,30 +71,36 @@ class DiversifyTuplesSpec extends SparkSpec {
       (0 until 10).map(i => EmbTuple((bi * 10 + i).toLong, "t",
         Array(c(0) + 0.1 * rng.nextGaussian(), c(1) + 0.1 * rng.nextGaussian())))
     }
-    val ms = DiversifyTuples.clusterMedoids(ts, 3, VecOps.euclidean)
+    val ms = DiversifyTuples.clusterMedoids(ts, 3)
     assert(ms.map(_.id / 10).toSet == Set(0L, 1L, 2L))
   }
 
   // ---------------- rerank (Example 5 of the paper) ----------------
 
   test("rerank reproduces the paper's Example 5 ranking exactly") {
-    // Distances from Fig 4. We encode them via a custom distance function
-    // driven by ids rather than vectors.
-    val d = Map(
-      (1L, 0) -> 0.3, (1L, 1) -> 0.1, (1L, 2) -> 0.9,
-      (2L, 0) -> 0.5, (2L, 1) -> 0.4, (2L, 2) -> 0.6,
-      (3L, 0) -> 0.75, (3L, 1) -> 0.5, (3L, 2) -> 0.1,
-      (4L, 0) -> 0.4, (4L, 1) -> 0.55, (4L, 2) -> 0.5,
-      (5L, 0) -> 0.9, (5L, 1) -> 0.75, (5L, 2) -> 0.01,
-      (6L, 0) -> 0.0, (6L, 1) -> 0.99, (6L, 2) -> 0.2,
-    )
-    val cands = (1L to 6L).toVector.map(i => EmbTuple(i, "t", Array(i.toDouble)))
-    val query = Vector(Array(1000.0), Array(1001.0), Array(1002.0))
-    def dist(a: Array[Double], b: Array[Double]): Double = {
-      val (t, q) = if (a(0) < 100) (a(0).toLong, (b(0) - 1000).toInt) else (b(0).toLong, (a(0) - 1000).toInt)
-      d((t, q))
+    // Distances d(t, q_j) from Fig 4, one row per candidate t1..t6.
+    val fig4 = Vector(
+      Seq(0.3, 0.1, 0.9), Seq(0.5, 0.4, 0.6), Seq(0.75, 0.5, 0.1),
+      Seq(0.4, 0.55, 0.5), Seq(0.9, 0.75, 0.01), Seq(0.0, 0.99, 0.2))
+    // Query j is the unit vector e_j. A candidate's first three coordinates
+    // are -100·d(t, q_j) and four integer padding coordinates bring its
+    // squared norm to exactly 120², so cosineDist(t, e_j) = 1 + d(t, q_j)·5/6:
+    // an increasing map of the Fig 4 distances, bit-equal where they are equal.
+    def embed(ds: Seq[Double]): Array[Double] = {
+      val head = ds.map(d => -math.round(100 * d).toInt)
+      val rest = 120 * 120 - head.map(x => x * x).sum
+      val pad = (for {
+        a <- (0 to 120).iterator; b <- (0 to a).iterator; c <- (0 to b).iterator
+        d2 = rest - a * a - b * b - c * c if d2 >= 0
+        d = math.sqrt(d2.toDouble).round.toInt if d * d == d2
+      } yield Seq(a, b, c, d)).next()
+      (head ++ pad).map(_.toDouble).toArray
     }
-    val ranked = DiversifyTuples.rerank(cands, query, 6, dist)
+    val cands = fig4.zipWithIndex.map { case (ds, i) => EmbTuple(i + 1L, "t", embed(ds)) }
+    val query = Vector.tabulate(3)(j => Array.tabulate(7)(i => if (i == j) 1.0 else 0.0))
+    for ((t, ds) <- cands.zip(fig4); (q, d) <- query.zip(ds))
+      assert(math.abs(VecOps.cosineDist(t.vec, q) - (1 + d * 5 / 6)) < 1e-12)
+    val ranked = DiversifyTuples.rerank(cands, query, 6)
     assert(ranked.map(_.id) == Vector(2L, 4L, 3L, 1L, 5L, 6L))
   }
 
@@ -119,21 +125,33 @@ class DiversifyTuplesSpec extends SparkSpec {
   // ---------------- Spark dataflow equivalence + oracle ----------------
 
   test("sparkPrune selects the same ids as the driver prune") {
-    val ts = mkTuples(120, 10)
-    val driver = DiversifyTuples.prune(ts, 40).map(_.id).toSet
-    val sparkIds = DiversifyTuples.fromDF(
-      DiversifyTuples.sparkPrune(spark, DiversifyTuples.toDF(spark, ts), 40)).map(_.id).toSet
-    assert(sparkIds == driver)
+    // Tie-heavy: ten exact-duplicate vectors, each copied four times into
+    // each of three tables, so every score is shared by four tuples.
+    val rng = new Rng(17)
+    val protos = Vector.fill(10)(Array.fill(8)(rng.nextGaussian()))
+    val tieHeavy = (0 until 120).toVector.map(i => EmbTuple(i.toLong, s"t${i % 3}", protos(i / 3 % 10)))
+    val cut = DiversifyTuples.prune(tieHeavy, 30)
+    assert(tieHeavy.exists(t => !cut.exists(_.id == t.id) && t.table == cut.last.table &&
+      t.vec.sameElements(cut.last.vec)), "s must cut through a tie group")
+    for ((ts, s) <- Seq((mkTuples(120, 10), 40), (tieHeavy, 30), (mkTuples(30, 10), 40))) {
+      val driver = DiversifyTuples.prune(ts, s).map(_.id)
+      val sparkIds = DiversifyTuples.fromDF(
+        DiversifyTuples.sparkPrune(spark, DiversifyTuples.toDF(spark, ts), s)).map(_.id)
+      assert(sparkIds == driver, s"n=${ts.size} s=$s")
+    }
   }
 
   test("sparkRerank selects the same ids in the same order as the driver") {
     val cands = mkTuples(30, 11)
     val q = mkTuples(6, 12).map(_.vec)
-    val driver = DiversifyTuples.rerank(cands, q, 8).map(_.id)
     val qDf = DiversifyTuples.toDF(spark, q.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "q", v) })
-    val top = DiversifyTuples.sparkRerank(spark, DiversifyTuples.toDF(spark, cands), qDf, 8)
-      .orderBy("rk").select("id").collect().map(_.getLong(0)).toVector
-    assert(top == driver)
+    // The second input duplicates every candidate, so ties are resolved by id.
+    for (cs <- Seq(cands, cands ++ cands.map(c => c.copy(id = c.id + 100)))) {
+      val driver = DiversifyTuples.rerank(cs, q, 8).map(_.id)
+      val top = DiversifyTuples.sparkRerank(spark, DiversifyTuples.toDF(spark, cs), qDf, 8)
+        .orderBy("rk").select("id").collect().map(_.getLong(0)).toVector
+      assert(top == driver)
+    }
   }
 
   test("oracle: rerank top-k matches DuckDB SQL over the distance table") {

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.data.Generators
+import repro.embed.TfIdf
 import repro.exp.{Benchmarks, Models}
 
 /** End-to-end Algorithm 1 integration tests, including driver/Spark
@@ -41,6 +42,22 @@ class DustPipelineSpec extends SparkSpec {
     val sparkRes = Dust.runSpark(spark, q, bench, model, cfg,
       tfidfOpt = Some(Benchmarks.tfidfFor(bench)))
     assert(sparkRes.selected.map(_.id) == result.selected.map(_.id))
+  }
+
+  test("spark pipeline selects the driver's tuples on every query of a big union") {
+    // big_union's shape: long bases, so each query unions several times s
+    // tuples and its tables hold many exact-duplicate rows.
+    val big = Generators.generate(Generators.santosLiteConfig.copy(
+      nBases = 2, rowsPerBase = 1000, tablesPerBase = 8, nQueries = 2))
+    val bigCfg = Dust.Config(s = Benchmarks.pruneS)
+    val tfidf = Some(TfIdf.fit(big.lake ++ big.queries))
+    big.queries.foreach { bq =>
+      val gt = Some(big.unionableFor(bq))
+      val driver = Dust.run(bq, big, model, bigCfg, tfidfOpt = tfidf, tablesOverride = gt)
+      assert(driver.lakeTuples.size > bigCfg.s)
+      val onSpark = Dust.runSpark(spark, bq, big, model, bigCfg, tfidfOpt = tfidf, tablesOverride = gt)
+      assert(onSpark.selected.map(_.id) == driver.selected.map(_.id), bq.name)
+    }
   }
 
   test("DUST's selection is more min-diverse than the most-similar tuples (Fig 1 claim)") {

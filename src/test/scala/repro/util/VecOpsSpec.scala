@@ -53,18 +53,10 @@ class VecOpsSpec extends SparkSpec {
     assert(math.abs(VecOps.manhattan(Array(1.0, -1.0), Array(-2.0, 3.0)) - 7.0) < eps)
   }
 
-  test("add produces element-wise sum") {
-    assert(VecOps.add(Array(1.0, 2.0), Array(3.0, 4.0)).toSeq == Seq(4.0, 6.0))
-  }
-
   test("addInPlace with weight") {
     val a = Array(1.0, 1.0)
     VecOps.addInPlace(a, Array(2.0, 4.0), 0.5)
     assert(a.toSeq == Seq(2.0, 3.0))
-  }
-
-  test("scale multiplies every component") {
-    assert(VecOps.scale(Array(1.0, -2.0), 3.0).toSeq == Seq(3.0, -6.0))
   }
 
   test("normalize yields unit norm") {
