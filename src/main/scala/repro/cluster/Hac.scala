@@ -1,5 +1,7 @@
 package repro.cluster
 
+import repro.util.Par
+
 /** Agglomerative hierarchical clustering with average linkage (UPGMA),
   * built with the nearest-neighbour-chain algorithm: O(n²) time, O(n²)
   * memory on a full distance matrix. UPGMA is reducible, so NN-chain yields
@@ -23,9 +25,10 @@ object Hac {
     /** Labels (0..k-1, in order of first appearance) for a k-cluster cut. */
     def cut(k: Int): Array[Int] = {
       require(k >= 1 && k <= n, s"cut k=$k outside [1, $n]")
-      // Stable sort by height: parents never precede their children because
-      // UPGMA heights are monotone and formation order breaks ties.
-      val ordered = merges.sortBy(_.height)
+      // Merge indices, stably sorted by height: parents never precede their
+      // children because UPGMA heights are monotone and formation order
+      // breaks ties.
+      val ordered = merges.indices.sortBy(merges(_).height)
       // Union-find over leaves; every cluster id maps to one member leaf.
       val parent = Array.tabulate(n)(identity)
       def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); var c = x
@@ -33,14 +36,12 @@ object Hac {
       val member = new Array[Int](2 * n - 1)
       var i = 0
       while (i < n) { member(i) = i; i += 1 }
-      // Map original (unsorted) merge index -> cluster id for member lookup.
-      val idOf = merges.zipWithIndex.map { case (m, j) => m -> (n + j) }.toMap
-      ordered.take(n - k).foreach { m =>
+      ordered.take(n - k).foreach { j =>
+        val m = merges(j)
         val ra = find(member(m.a)); val rb = find(member(m.b))
         parent(rb) = ra
-        member(idOf(m)) = ra
+        member(n + j) = ra // merge j made cluster n + j
       }
-      // But member() for un-applied merges is never read; fill applied above.
       val labelOf = scala.collection.mutable.HashMap.empty[Int, Int]
       val labels = new Array[Int](n)
       i = 0
@@ -53,14 +54,22 @@ object Hac {
     }
   }
 
-  /** Symmetric distance matrix of a point set. */
+  /** Symmetric distance matrix of a point set: `d(i)(j) = d(j)(i) =
+    * dist(points(i), points(j))` for i < j, zero diagonal. Rows are computed
+    * in parallel, so `dist` must be safe to call concurrently.
+    */
   def distMatrix[A](points: IndexedSeq[A], dist: (A, A) => Double): Array[Array[Double]] = {
     val n = points.length
-    val d = Array.ofDim[Double](n, n)
+    val d = Par.tabulate(n) { i =>
+      val row = new Array[Double](n)
+      var j = i + 1
+      while (j < n) { row(j) = dist(points(i), points(j)); j += 1 }
+      row
+    }
     var i = 0
     while (i < n) {
       var j = i + 1
-      while (j < n) { val v = dist(points(i), points(j)); d(i)(j) = v; d(j)(i) = v; j += 1 }
+      while (j < n) { d(j)(i) = d(i)(j); j += 1 }
       i += 1
     }
     d

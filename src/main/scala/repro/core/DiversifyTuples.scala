@@ -15,8 +15,9 @@ import repro.util.VecOps
   *    descending, tie-broken by average distance (§5.3, Example 5);
   *    return the top k.
   *
-  * The driver-side functions are the algorithmic core (and what the
-  * efficiency experiments time, matching the paper's single-node runs);
+  * The driver-side functions are the algorithmic core and what the
+  * efficiency experiments time. Like the paper's runs they use one node;
+  * the distance matrix is computed on all of its cores (DESIGN.md §6).
   * `sparkPrune` / `sparkRerank` express steps 1 and 3 as Spark dataflows
   * over `(id, table, vec)` frames for lake-scale runs; each returns the
   * driver step's output in the driver's order (tested, and checked against
@@ -45,19 +46,37 @@ object DiversifyTuples {
       .map(_._1)
   }
 
-  /** §5.2 — cluster into `nClusters` and return each cluster's medoid. */
+  /** §5.2 — cluster into `nClusters` and return each cluster's medoid. One
+    * distance matrix serves both the UPGMA cut and the medoids.
+    */
   def clusterMedoids(cands: Vector[EmbTuple], nClusters: Int): Vector[EmbTuple] = {
     if (cands.isEmpty) return cands
     val m = math.min(nClusters, cands.size)
-    val labels = Hac.clusterLabels(cands.map(_.vec), m, VecOps.cosineDist)
+    val d = Hac.distMatrix(cands.map(_.vec), VecOps.cosineDist)
+    val labels = Hac.upgma(d).cut(m)
     cands.indices
       .groupBy(labels(_))
       .toVector
       .sortBy(_._1)
-      .map { case (_, members) =>
-        val vs = members.map(cands(_).vec).toIndexedSeq
-        cands(members(VecOps.medoidIndex(vs, VecOps.cosineDist)))
-      }
+      .map { case (_, members) => cands(members(medoidOf(members, d))) }
+  }
+
+  /** Position in `members` of the member with the least summed distance to
+    * the others, read from `d`. Sums run in member order and ties keep the
+    * first, as in [[VecOps.medoidIndex]]; `cosineDist` is bitwise symmetric,
+    * so each entry equals the distance `medoidIndex` would compute.
+    */
+  private def medoidOf(members: IndexedSeq[Int], d: Array[Array[Double]]): Int = {
+    var best = 0; var bestSum = Double.MaxValue
+    var i = 0
+    while (i < members.length) {
+      val row = d(members(i))
+      var s = 0.0; var j = 0
+      while (j < members.length) { if (i != j) s += row(members(j)); j += 1 }
+      if (s < bestSum) { bestSum = s; best = i }
+      i += 1
+    }
+    best
   }
 
   /** §5.3 — rank by (min distance to query desc, avg distance desc, id asc). */

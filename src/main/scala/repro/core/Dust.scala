@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.data.{LakeBenchmark, SimpleTable}
 import repro.embed.{ColumnEmbedder, ColumnEmbedders, TfIdf}
 import repro.search.UnionSearch
+import repro.util.Par
 
 /** DUST end-to-end (Algorithm 1): SearchTables → AlignColumns → EmbedTuples
   * → DiversifyTuples.
@@ -31,11 +32,13 @@ object Dust {
     tuples.toVector.zip(embed(model, tuples)).map { case (t, v) => DiversifyTuples.EmbTuple(t.id, t.table, v) }
 
   /** The fine-tuned embedding of each tuple, in order; a token shared by
-    * several tuples is embedded once.
+    * several tuples is embedded once. Tuples are embedded in parallel, each
+    * exactly as `model.embed` embeds it alone.
     */
   def embed(model: DustModel, tuples: Seq[OuterUnion.UnionTuple]): Vector[Array[Double]] = {
     val tokens = model.base.lm.tokenTable()
-    tuples.iterator.map(t => model.embed(t.pairs, tokens)).toVector
+    val ts = tuples.toIndexedSeq
+    Par.tabulate(ts.size)(i => model.embed(ts(i).pairs, tokens)).toVector
   }
 
   /** Full pipeline on the driver.

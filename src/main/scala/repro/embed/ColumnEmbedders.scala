@@ -1,7 +1,7 @@
 package repro.embed
 
 import repro.data.SimpleTable
-import repro.util.VecOps
+import repro.util.{Par, VecOps}
 
 /** Column embedding strategies evaluated in Table 1 (§6.2.3).
   *
@@ -21,13 +21,29 @@ sealed trait ColumnEmbedder {
   /** One embedding per column of each table, computed afresh. A token
     * repeated anywhere in `tables` is embedded once. Pipeline stages read
     * embeddings through the lake's index, [[TfIdf.columnEmbeddings]], which
-    * calls this for the tables it has not seen.
+    * calls this for the tables it has not seen. Columns are embedded in
+    * parallel ([[ColumnEmbedder.perColumn]]).
     */
   def embedAll(tables: Seq[SimpleTable], tfidf: TfIdf): Vector[Vector[Array[Double]]]
 
   /** One embedding per column of `table`, computed afresh. */
   def embedAll(table: SimpleTable, tfidf: TfIdf): Vector[Array[Double]] =
     embedAll(Vector(table), tfidf).head
+}
+
+object ColumnEmbedder {
+
+  /** `embed(table, j)` for every column j of every table, computed in
+    * parallel over (table, column) and grouped back per table, in order.
+    */
+  private[embed] def perColumn(tables: Seq[SimpleTable])(
+      embed: (SimpleTable, Int) => Array[Double]): Vector[Vector[Array[Double]]] = {
+    val ts = tables.toVector
+    val cells = ts.flatMap(t => t.cols.indices.map(j => (t, j)))
+    val embs = Par.tabulate(cells.size) { c => val (t, j) = cells(c); embed(t, j) }
+    val starts = ts.scanLeft(0)(_ + _.nCols)
+    ts.indices.toVector.map(i => embs.slice(starts(i), starts(i + 1)).toVector)
+  }
 }
 
 /** Cell-level variant of a language / word model. */
@@ -37,11 +53,11 @@ final case class CellLevelEmbedder(lm: HashLm) extends ColumnEmbedder {
 
   def embedAll(tables: Seq[SimpleTable], tfidf: TfIdf): Vector[Vector[Array[Double]]] = {
     val tokens = cellLm.tokenTable()
-    tables.toVector.map(table => table.cols.indices.toVector.map { j =>
+    ColumnEmbedder.perColumn(tables) { (table, j) =>
       val cells = table.columnValues(j)
       if (cells.isEmpty) new Array[Double](lm.dim)
       else VecOps.normalize(VecOps.mean(cells.map(cellLm.embedText(_, tokens))))
-    })
+    }
   }
 }
 
@@ -51,11 +67,11 @@ final case class ColumnLevelEmbedder(lm: HashLm) extends ColumnEmbedder {
 
   def embedAll(tables: Seq[SimpleTable], tfidf: TfIdf): Vector[Vector[Array[Double]]] = {
     val tokens = lm.tokenTable()
-    tables.toVector.map(table => table.cols.indices.toVector.map { j =>
+    ColumnEmbedder.perColumn(tables) { (table, j) =>
       val top = tfidf.topTokens(table.columnValues(j))
       if (top.isEmpty) new Array[Double](lm.dim)
       else lm.embedWeighted(top.map(_._1), top.map(_._2), tokens)
-    })
+    }
   }
 }
 

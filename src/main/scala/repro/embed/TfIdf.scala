@@ -1,6 +1,7 @@
 package repro.embed
 
 import repro.data.{SimpleTable, Tokenizer}
+import repro.util.Par
 
 /** Corpus TF-IDF over columns (documents = columns), used by the
   * column-level embedders to select at most 512 representative tokens per
@@ -66,12 +67,16 @@ object TfIdf {
   /** The paper's LM token limit. */
   val TokenLimit = 512
 
-  /** Fit IDF over all columns of the given tables (queries + lake). */
+  /** Fit IDF over all columns of the given tables (queries + lake). Columns
+    * are tokenized in parallel; document frequencies are counted serially.
+    */
   def fit(tables: Seq[SimpleTable]): TfIdf = {
-    val docs: Seq[Set[String]] = tables.flatMap { t =>
-      t.cols.indices.map(j => Tokenizer.columnTokens(t.columnValues(j)).toSet)
+    val cols = tables.flatMap(t => t.cols.indices.map(j => (t, j))).toIndexedSeq
+    val docs = Par.tabulate(cols.size) { c =>
+      val (t, j) = cols(c)
+      Tokenizer.columnTokens(t.columnValues(j)).toSet
     }
-    val n = math.max(1, docs.size)
+    val n = math.max(1, docs.length)
     val df = scala.collection.mutable.HashMap.empty[String, Int]
     docs.foreach(_.foreach(tok => df.update(tok, df.getOrElse(tok, 0) + 1)))
     val idf = df.iterator.map { case (t, d) => t -> math.log(1.0 + n.toDouble / d) }.toMap
