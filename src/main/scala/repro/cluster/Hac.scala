@@ -8,8 +8,9 @@ import repro.util.Par
   * the exact dendrogram; heights are monotone, so cutting at k clusters is
   * "apply the n−k lowest merges".
   *
-  * This is the clustering engine behind both DUST's tuple diversification
-  * (Algorithm 2, Line 4) and the CLT baseline.
+  * This is the clustering engine behind DUST's tuple diversification
+  * (Algorithm 2, Line 4), the CLT baseline and, with cannot-link groups,
+  * holistic column alignment (§3.3).
   */
 object Hac {
 
@@ -18,13 +19,18 @@ object Hac {
     */
   final case class Merge(a: Int, b: Int, height: Double)
 
-  /** Full merge tree over n leaves. */
+  /** Merge forest over n leaves: n−1 merges make one tree, fewer leave
+    * `minK` trees that cannot-link groups keep apart.
+    */
   final case class Dendrogram(n: Int, merges: Vector[Merge]) {
-    require(merges.length == math.max(0, n - 1), s"expected ${n - 1} merges, got ${merges.length}")
+    require(merges.length <= math.max(0, n - 1), s"expected at most ${n - 1} merges, got ${merges.length}")
+
+    /** The fewest clusters a cut can give. */
+    def minK: Int = n - merges.length
 
     /** Labels (0..k-1, in order of first appearance) for a k-cluster cut. */
     def cut(k: Int): Array[Int] = {
-      require(k >= 1 && k <= n, s"cut k=$k outside [1, $n]")
+      require(k >= math.max(1, minK) && k <= n, s"cut k=$k outside [${math.max(1, minK)}, $n]")
       // Merge indices, stably sorted by height: parents never precede their
       // children because UPGMA heights are monotone and formation order
       // breaks ties.
@@ -75,25 +81,41 @@ object Hac {
     d
   }
 
-  /** UPGMA dendrogram via nearest-neighbour chain. `d0` is consumed as
-    * scratch space (cloned internally).
+  /** UPGMA dendrogram via nearest-neighbour chain. `d0` is not modified.
+    *
+    * `group`, when non-empty, is each point's cannot-link group: two points
+    * of one group never share a cluster. The working copy of the matrix
+    * holds +∞ for every same-group pair. The UPGMA update is a size-weighted
+    * mean, so a cluster pair is at +∞ exactly when it holds a same-group
+    * pair, and d(I∪J, K) ≥ min(d(I, K), d(J, K)) still holds: NN-chain stays
+    * exact (Müllner, arXiv:1109.2378). A cluster with no finite neighbour
+    * can never merge again and leaves the chain, so the result is a forest
+    * of `minK` trees.
     */
-  def upgma(d0: Array[Array[Double]]): Dendrogram = {
+  def upgma(d0: Array[Array[Double]], group: Array[Int] = Array.emptyIntArray): Dendrogram = {
     val n = d0.length
-    if (n == 0) return Dendrogram(0, Vector.empty)
-    if (n == 1) return Dendrogram(1, Vector.empty)
+    require(group.isEmpty || group.length == n, "group arity mismatch")
     val d = d0.map(_.clone())
+    if (group.nonEmpty) {
+      var i = 0
+      while (i < n) {
+        var j = 0
+        while (j < n) { if (i != j && group(i) == group(j)) d(i)(j) = Double.PositiveInfinity; j += 1 }
+        i += 1
+      }
+    }
     val active = Array.fill(n)(true)
+    var live = n
     val size = Array.fill(n)(1)
     val cid = Array.tabulate(n)(identity) // slot -> current cluster id
     var nextId = n
     val merges = Vector.newBuilder[Merge]
-    var nMerges = 0
     val chain = new Array[Int](n + 1)
     var chainLen = 0
 
+    /** Nearest active slot at finite distance, or -1. */
     def nearest(s: Int): Int = {
-      var best = -1; var bd = Double.MaxValue
+      var best = -1; var bd = Double.PositiveInfinity
       var t = 0
       while (t < n) {
         if (active(t) && t != s && d(s)(t) < bd) { bd = d(s)(t); best = t }
@@ -102,7 +124,7 @@ object Hac {
       best
     }
 
-    while (nMerges < n - 1) {
+    while (live > 1) {
       if (chainLen == 0) {
         var s = 0
         while (!active(s)) s += 1
@@ -110,7 +132,11 @@ object Hac {
       }
       val top = chain(chainLen - 1)
       val nn = nearest(top)
-      if (chainLen >= 2 && nn == chain(chainLen - 2)) {
+      if (nn < 0) {
+        // Every neighbour is at +∞ and stays there: top is a finished tree.
+        active(top) = false; live -= 1
+        chainLen -= 1
+      } else if (chainLen >= 2 && nn == chain(chainLen - 2)) {
         // Reciprocal nearest neighbours: merge top into nn's slot (keep top).
         val i = top; val j = nn
         merges += Merge(cid(i), cid(j), d(i)(j))
@@ -123,20 +149,13 @@ object Hac {
           s += 1
         }
         size(i) += size(j)
-        active(j) = false
+        active(j) = false; live -= 1
         cid(i) = nextId; nextId += 1
-        nMerges += 1
         chainLen -= 2
       } else {
         chain(chainLen) = nn; chainLen += 1
       }
     }
     Dendrogram(n, merges.result())
-  }
-
-  /** Convenience: labels of a k-cluster UPGMA cut over points. */
-  def clusterLabels[A](points: IndexedSeq[A], k: Int, dist: (A, A) => Double): Array[Int] = {
-    if (points.isEmpty) return Array.empty
-    upgma(distMatrix(points, dist)).cut(math.min(k, points.length))
   }
 }

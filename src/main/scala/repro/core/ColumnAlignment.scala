@@ -1,8 +1,9 @@
 package repro.core
 
-import repro.cluster.{ConstrainedHac, Hac, Silhouette}
+import repro.cluster.{Hac, Silhouette}
 import repro.data.SimpleTable
 import repro.embed.{ColumnEmbedder, TfIdf}
+import repro.search.UnionSearch
 import repro.util.VecOps
 
 /** Holistic column alignment (§3.3, Appendix A.1.1).
@@ -41,19 +42,20 @@ object ColumnAlignment {
     (q ++ t).toVector
   }
 
-  /** Holistic alignment: constrained UPGMA + silhouette cluster count. */
+  /** Holistic alignment: UPGMA with one cannot-link group per table, cut at
+    * the silhouette-best cluster count.
+    */
   def alignHolistic(query: SimpleTable, tables: Seq[SimpleTable],
                     embedder: ColumnEmbedder, tfidf: TfIdf): Aligned = {
     val cols = allCols(query, tables)
     val embs = tfidf.columnEmbeddings(embedder, query +: tables).flatten
     require(cols.length == embs.length, "column/embedding arity mismatch")
     val d = Hac.distMatrix(embs, VecOps.euclidean)
-    val groups = cols.map(_.tableIdx).toArray
-    val result = ConstrainedHac.cluster(d, groups)
+    val den = Hac.upgma(d, cols.map(_.tableIdx).toArray)
     // Candidate cuts: every achievable level with >= 2 clusters.
-    val cuts = result.levels.filter(_._1 >= 2)
+    val cuts = (math.max(2, den.minK) to cols.length).map(k => (k, den.cut(k)))
     val labels =
-      if (cuts.isEmpty) result.levels.head._2
+      if (cuts.isEmpty) Array.range(0, cols.length)
       else Silhouette.bestCut(d, cuts)._2
     val byCluster = cols.indices.groupBy(labels(_))
     val kept = byCluster.values.toVector.flatMap { members =>
@@ -77,17 +79,8 @@ object ColumnAlignment {
     val qEmb = embs.head
     val perQuery = Array.fill(query.nCols)(Vector.newBuilder[ColKey])
     tables.zip(embs.tail).foreach { case (t, tEmb) =>
-      val sims = for {
-        qj <- query.cols.indices
-        tj <- t.cols.indices
-      } yield (VecOps.cosineSim(qEmb(qj), tEmb(tj)), qj, tj)
-      val usedQ = scala.collection.mutable.HashSet.empty[Int]
-      val usedT = scala.collection.mutable.HashSet.empty[Int]
-      sims.sortBy { case (s, qj, tj) => (-s, qj, tj) }.foreach { case (_, qj, tj) =>
-        if (!usedQ.contains(qj) && !usedT.contains(tj)) {
-          usedQ += qj; usedT += tj
-          perQuery(qj) += ColKey(t.name, tj)
-        }
+      UnionSearch.greedyMatch(qEmb, tEmb).foreach { case (_, qj, tj) =>
+        perQuery(qj) += ColKey(t.name, tj)
       }
     }
     Aligned(query.name,

@@ -13,24 +13,33 @@ object UnionSearch {
 
   final case class Scored(table: SimpleTable, score: Double)
 
-  /** Greedy maximum-weight bipartite matching score, normalized by the
-    * number of query columns.
+  /** Greedy maximum-weight bipartite matching of query columns to table
+    * columns: pairs in descending cosine similarity, ties by (qj, tj), each
+    * column used at most once. Returns the accepted (similarity, qj, tj) in
+    * the order they were accepted.
     */
-  def unionabilityScore(qEmb: Vector[Array[Double]], tEmb: Vector[Array[Double]]): Double = {
-    if (qEmb.isEmpty || tEmb.isEmpty) return 0.0
+  def greedyMatch(qEmb: IndexedSeq[Array[Double]],
+                  tEmb: IndexedSeq[Array[Double]]): Vector[(Double, Int, Int)] = {
     val sims = for {
       qj <- qEmb.indices
       tj <- tEmb.indices
     } yield (VecOps.cosineSim(qEmb(qj), tEmb(tj)), qj, tj)
-    val usedQ = scala.collection.mutable.HashSet.empty[Int]
-    val usedT = scala.collection.mutable.HashSet.empty[Int]
-    var total = 0.0
-    sims.sortBy { case (s, qj, tj) => (-s, qj, tj) }.foreach { case (s, qj, tj) =>
-      if (!usedQ.contains(qj) && !usedT.contains(tj)) {
-        usedQ += qj; usedT += tj; total += s
+    val usedQ = new Array[Boolean](qEmb.length)
+    val usedT = new Array[Boolean](tEmb.length)
+    val accepted = Vector.newBuilder[(Double, Int, Int)]
+    sims.sortBy { case (s, qj, tj) => (-s, qj, tj) }.foreach { case m @ (_, qj, tj) =>
+      if (!usedQ(qj) && !usedT(tj)) {
+        usedQ(qj) = true; usedT(tj) = true
+        accepted += m
       }
     }
-    total / qEmb.size
+    accepted.result()
+  }
+
+  /** Greedy matching score, normalized by the number of query columns. */
+  def unionabilityScore(qEmb: Vector[Array[Double]], tEmb: Vector[Array[Double]]): Double = {
+    if (qEmb.isEmpty || tEmb.isEmpty) return 0.0
+    greedyMatch(qEmb, tEmb).foldLeft(0.0)(_ + _._1) / qEmb.size
   }
 
   /** Rank the whole lake against a query; descending score. Column

@@ -124,10 +124,16 @@ class PropertiesSpec extends SparkSpec {
     samples(Gen.zip(Gen.chooseNum(2, 25), Gen.chooseNum(1L, 999L)), 30).foreach { case (n, seed) =>
       val rng = new Rng(seed)
       val pts = Vector.fill(n)(Array.fill(3)(rng.nextGaussian()))
-      val den = repro.cluster.Hac.upgma(
-        repro.cluster.Hac.distMatrix(pts, VecOps.euclidean))
+      val d = repro.cluster.Hac.distMatrix(pts, VecOps.euclidean)
+      val den = repro.cluster.Hac.upgma(d)
       (1 to n).foreach { k =>
         assert(den.cut(k).distinct.length == k, s"n=$n k=$k")
+      }
+      // With random cannot-link groups every cut from minK to n is reachable.
+      val groups = Array.fill(n)(rng.nextInt(1 + rng.nextInt(n)))
+      val constrained = repro.cluster.Hac.upgma(d, groups)
+      (math.max(1, constrained.minK) to n).foreach { k =>
+        assert(constrained.cut(k).distinct.length == k, s"n=$n k=$k groups=${groups.mkString(",")}")
       }
     }
   }
