@@ -28,13 +28,15 @@ object Hac {
     /** The fewest clusters a cut can give. */
     def minK: Int = n - merges.length
 
+    /** Merge indices, stably sorted by height: parents never precede their
+      * children because UPGMA heights are monotone and formation order
+      * breaks ties.
+      */
+    private lazy val byHeight: Array[Int] = merges.indices.sortBy(merges(_).height).toArray
+
     /** Labels (0..k-1, in order of first appearance) for a k-cluster cut. */
     def cut(k: Int): Array[Int] = {
       require(k >= math.max(1, minK) && k <= n, s"cut k=$k outside [${math.max(1, minK)}, $n]")
-      // Merge indices, stably sorted by height: parents never precede their
-      // children because UPGMA heights are monotone and formation order
-      // breaks ties.
-      val ordered = merges.indices.sortBy(merges(_).height)
       // Union-find over leaves; every cluster id maps to one member leaf.
       val parent = Array.tabulate(n)(identity)
       def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); var c = x
@@ -42,18 +44,22 @@ object Hac {
       val member = new Array[Int](2 * n - 1)
       var i = 0
       while (i < n) { member(i) = i; i += 1 }
-      ordered.take(n - k).foreach { j =>
-        val m = merges(j)
+      i = 0
+      while (i < n - k) {
+        val j = byHeight(i); val m = merges(j)
         val ra = find(member(m.a)); val rb = find(member(m.b))
         parent(rb) = ra
         member(n + j) = ra // merge j made cluster n + j
+        i += 1
       }
-      val labelOf = scala.collection.mutable.HashMap.empty[Int, Int]
+      val labelOf = Array.fill(n)(-1) // root leaf -> label
+      var next = 0
       val labels = new Array[Int](n)
       i = 0
       while (i < n) {
         val r = find(i)
-        labels(i) = labelOf.getOrElseUpdate(r, labelOf.size)
+        if (labelOf(r) < 0) { labelOf(r) = next; next += 1 }
+        labels(i) = labelOf(r)
         i += 1
       }
       labels

@@ -52,11 +52,11 @@ object ColumnAlignment {
     require(cols.length == embs.length, "column/embedding arity mismatch")
     val d = Hac.distMatrix(embs, VecOps.euclidean)
     val den = Hac.upgma(d, cols.map(_.tableIdx).toArray)
-    // Candidate cuts: every achievable level with >= 2 clusters.
-    val cuts = (math.max(2, den.minK) to cols.length).map(k => (k, den.cut(k)))
+    // Candidate cluster counts: every achievable level with >= 2 clusters.
+    val ks = math.max(2, den.minK) to cols.length
     val labels =
-      if (cuts.isEmpty) Array.range(0, cols.length)
-      else Silhouette.bestCut(d, cuts)._2
+      if (ks.isEmpty) Array.range(0, cols.length)
+      else den.cut(Silhouette.bestCut(d, den, ks))
     val byCluster = cols.indices.groupBy(labels(_))
     val kept = byCluster.values.toVector.flatMap { members =>
       members.find(cols(_).isQuery).map { qi =>
@@ -79,9 +79,8 @@ object ColumnAlignment {
     val qEmb = embs.head
     val perQuery = Array.fill(query.nCols)(Vector.newBuilder[ColKey])
     tables.zip(embs.tail).foreach { case (t, tEmb) =>
-      UnionSearch.greedyMatch(qEmb, tEmb).foreach { case (_, qj, tj) =>
-        perQuery(qj) += ColKey(t.name, tj)
-      }
+      UnionSearch.greedyMatch(qEmb.size, tEmb.size)((qj, tj) => VecOps.cosineSim(qEmb(qj), tEmb(tj)))
+        .foreach { case (_, qj, tj) => perQuery(qj) += ColKey(t.name, tj) }
     }
     Aligned(query.name,
       query.cols.indices.map(qj => AlignedCluster(qj, perQuery(qj).result())).toVector)

@@ -19,14 +19,9 @@ final class DustModel(
     w1: Array[Array[Double]], // hidden x in
     w2: Array[Array[Double]], // out x hidden
 ) {
-  def dimOut: Int = w2.length
+  import DustModel.matVec
 
-  private def matVec(w: Array[Array[Double]], x: Array[Double]): Array[Double] = {
-    val r = new Array[Double](w.length)
-    var i = 0
-    while (i < w.length) { r(i) = VecOps.dot(w(i), x); i += 1 }
-    r
-  }
+  def dimOut: Int = w2.length
 
   /** Forward pass from base features. */
   def embedFeatures(x: Array[Double]): Array[Double] =
@@ -44,6 +39,13 @@ final class DustModel(
 }
 
 object DustModel {
+
+  private def matVec(w: Array[Array[Double]], x: Array[Double]): Array[Double] = {
+    val r = new Array[Double](w.length)
+    var i = 0
+    while (i < w.length) { r(i) = VecOps.dot(w(i), x); i += 1 }
+    r
+  }
 
   final case class TrainConfig(
       hidden: Int = 64,
@@ -93,13 +95,6 @@ object DustModel {
 
     val w1 = initMat(cfg.hidden, dIn)
     val w2 = initMat(cfg.out, cfg.hidden)
-
-    def matVec(w: Array[Array[Double]], x: Array[Double]): Array[Double] = {
-      val r = new Array[Double](w.length)
-      var i = 0
-      while (i < w.length) { r(i) = VecOps.dot(w(i), x); i += 1 }
-      r
-    }
 
     /** Forward with cached activations: (h = tanh(W1 x), e = W2 h). */
     def forward(x: Array[Double]): (Array[Double], Array[Double]) = {

@@ -44,7 +44,8 @@ object Table2Experiment {
     }
   }
 
-  private def winners(scores: Seq[(String, Double)]): Set[String] = {
+  /** Methods whose score is within 1e-12 of the best (all of them win a tie). */
+  private[exp] def winners(scores: Seq[(String, Double)]): Set[String] = {
     val best = scores.map(_._2).max
     scores.collect { case (m, v) if v >= best - 1e-12 => m }.toSet
   }

@@ -17,11 +17,6 @@ object Table3Experiment {
   final case class BenchResult(benchmark: String, results: Vector[MethodResult],
                                starmieMap: Double, nQueries: Int)
 
-  private def winners(scores: Seq[(String, Double)]): Set[String] = {
-    val best = scores.map(_._2).max
-    scores.collect { case (m, v) if v >= best - 1e-12 => m }.toSet
-  }
-
   def run(bench: LakeBenchmark, k: Int, includeLlm: Boolean): BenchResult = {
     val tfidf = Benchmarks.tfidfFor(bench)
     val model = Models.dustRoberta
@@ -60,8 +55,8 @@ object Table3Experiment {
            DiversityMetrics.averageDiversity(queryEmb, sel),
            DiversityMetrics.minDiversity(queryEmb, sel))
         }
-        winners(scored.map(r => (r._1, r._2))).foreach(m => avgWins(m) += 1)
-        winners(scored.map(r => (r._1, r._3))).foreach(m => minWins(m) += 1)
+        Table2Experiment.winners(scored.map(r => (r._1, r._2))).foreach(m => avgWins(m) += 1)
+        Table2Experiment.winners(scored.map(r => (r._1, r._3))).foreach(m => minWins(m) += 1)
 
         mapSum += UnionSearch.averagePrecision(q,
           UnionSearch.rankTables(q, bench, ColumnEmbedders.dustDefault, tfidf).map(_.table))

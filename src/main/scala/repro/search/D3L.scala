@@ -62,15 +62,8 @@ object D3L {
   def tableScore(q: SimpleTable, t: SimpleTable, tfidf: TfIdf): Double = {
     val qEmb = tfidf.columnEmbeddings(embedder, q)
     val tEmb = tfidf.columnEmbeddings(embedder, t)
-    val scored = for { qj <- q.cols.indices; tj <- t.cols.indices }
-      yield (columnScore(q, qj, t, tj, qEmb(qj), tEmb(tj)), qj, tj)
-    val usedQ = scala.collection.mutable.HashSet.empty[Int]
-    val usedT = scala.collection.mutable.HashSet.empty[Int]
-    var total = 0.0
-    scored.sortBy { case (s, qj, tj) => (-s, qj, tj) }.foreach { case (s, qj, tj) =>
-      if (!usedQ.contains(qj) && !usedT.contains(tj)) { usedQ += qj; usedT += tj; total += s }
-    }
-    total / q.nCols
+    UnionSearch.greedyMatch(q.nCols, t.nCols)((qj, tj) => columnScore(q, qj, t, tj, qEmb(qj), tEmb(tj)))
+      .foldLeft(0.0)(_ + _._1) / q.nCols
   }
 
   def rankTables(query: SimpleTable, bench: LakeBenchmark, tfidf: TfIdf): Vector[UnionSearch.Scored] = {

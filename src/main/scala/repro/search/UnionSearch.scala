@@ -13,21 +13,20 @@ object UnionSearch {
 
   final case class Scored(table: SimpleTable, score: Double)
 
-  /** Greedy maximum-weight bipartite matching of query columns to table
-    * columns: pairs in descending cosine similarity, ties by (qj, tj), each
-    * column used at most once. Returns the accepted (similarity, qj, tj) in
-    * the order they were accepted.
+  /** Greedy maximum-weight bipartite matching of `nq` query columns to `nt`
+    * table columns under `score(qj, tj)`: pairs in descending score, ties by
+    * (qj, tj), each column used at most once. Returns the accepted
+    * (score, qj, tj) in the order they were accepted.
     */
-  def greedyMatch(qEmb: IndexedSeq[Array[Double]],
-                  tEmb: IndexedSeq[Array[Double]]): Vector[(Double, Int, Int)] = {
-    val sims = for {
-      qj <- qEmb.indices
-      tj <- tEmb.indices
-    } yield (VecOps.cosineSim(qEmb(qj), tEmb(tj)), qj, tj)
-    val usedQ = new Array[Boolean](qEmb.length)
-    val usedT = new Array[Boolean](tEmb.length)
+  def greedyMatch(nq: Int, nt: Int)(score: (Int, Int) => Double): Vector[(Double, Int, Int)] = {
+    val scored = for {
+      qj <- 0 until nq
+      tj <- 0 until nt
+    } yield (score(qj, tj), qj, tj)
+    val usedQ = new Array[Boolean](nq)
+    val usedT = new Array[Boolean](nt)
     val accepted = Vector.newBuilder[(Double, Int, Int)]
-    sims.sortBy { case (s, qj, tj) => (-s, qj, tj) }.foreach { case m @ (_, qj, tj) =>
+    scored.sortBy { case (s, qj, tj) => (-s, qj, tj) }.foreach { case m @ (_, qj, tj) =>
       if (!usedQ(qj) && !usedT(tj)) {
         usedQ(qj) = true; usedT(tj) = true
         accepted += m
@@ -39,7 +38,8 @@ object UnionSearch {
   /** Greedy matching score, normalized by the number of query columns. */
   def unionabilityScore(qEmb: Vector[Array[Double]], tEmb: Vector[Array[Double]]): Double = {
     if (qEmb.isEmpty || tEmb.isEmpty) return 0.0
-    greedyMatch(qEmb, tEmb).foldLeft(0.0)(_ + _._1) / qEmb.size
+    greedyMatch(qEmb.size, tEmb.size)((qj, tj) => VecOps.cosineSim(qEmb(qj), tEmb(tj)))
+      .foldLeft(0.0)(_ + _._1) / qEmb.size
   }
 
   /** Rank the whole lake against a query; descending score. Column

@@ -44,24 +44,74 @@ class SilhouetteSpec extends SparkSpec {
     assert(Silhouette.score(dm(pts), good) > Silhouette.score(dm(pts), bad))
   }
 
+  /** Silhouette from the definition, with one explicit loop per cluster. */
+  private def reference(d: Array[Array[Double]], labels: Array[Int]): Double = {
+    val clusters = labels.distinct.sorted
+    if (clusters.length < 2) return -1.0
+    var total = 0.0
+    for (i <- labels.indices) {
+      val own = labels(i)
+      val ownSize = labels.count(_ == own)
+      if (ownSize > 1) {
+        var a = 0.0
+        for (j <- labels.indices if j != i && labels(j) == own) a += d(i)(j)
+        a /= (ownSize - 1)
+        var b = Double.MaxValue
+        for (c <- clusters if c != own) {
+          var sum = 0.0; var size = 0
+          for (j <- labels.indices if labels(j) == c) { sum += d(i)(j); size += 1 }
+          b = math.min(b, sum / size)
+        }
+        val s = (b - a) / math.max(a, b)
+        total += (if (s.isNaN) 0.0 else s)
+      }
+    }
+    total / labels.length
+  }
+
+  test("score equals the per-cluster definition bit for bit") {
+    val rng = new Rng(5)
+    // Few distinct locations make duplicate points; label ids are drawn from
+    // a range wider than the clusters used, so some ids stay unused.
+    val random = Vector.fill(300) {
+      val n = 2 + rng.nextInt(14)
+      val locs = Vector.fill(1 + rng.nextInt(6))(Array(rng.nextGaussian(), rng.nextGaussian()))
+      val pts = Vector.fill(n)(rng.pick(locs))
+      val range = 1 + rng.nextInt(n + 2)
+      (pts, Array.fill(n)(rng.nextInt(range)))
+    }
+    // All points equal: a = b = 0 for every point, the NaN path.
+    val allEqual = (Vector.fill(4)(Array(1.0, 1.0)), Array(0, 0, 2, 2))
+    (allEqual +: random).foreach { case (pts, labels) =>
+      val d = dm(pts)
+      val got = Silhouette.score(d, labels)
+      val want = reference(d, labels)
+      assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want),
+        s"labels=${labels.mkString(",")}: $got vs $want")
+    }
+  }
+
+  test("score rejects negative labels") {
+    val pts = Seq(Array(0.0), Array(1.0), Array(2.0))
+    intercept[IllegalArgumentException](Silhouette.score(dm(pts), Array(0, -1, 1)))
+  }
+
   test("bestCut picks the true number of blobs") {
     val rng = new Rng(4)
     val pts = Vector(0.0, 6.0, 12.0).flatMap(c => Vector.fill(8)(Array(c + rng.nextGaussian() * 0.1)))
     val d = dm(pts)
-    val den = Hac.upgma(d.map(_.clone()))
-    val cuts = (2 to 8).map(k => (k, den.cut(k)))
-    val (bestK, _, _) = Silhouette.bestCut(d, cuts)
-    assert(bestK == 3)
+    assert(Silhouette.bestCut(d, Hac.upgma(d), 2 to 8) == 3)
   }
 
   test("bestCut rejects empty candidate list") {
-    intercept[IllegalArgumentException](Silhouette.bestCut(Array.empty, Nil))
+    intercept[IllegalArgumentException](Silhouette.bestCut(Array.empty, Hac.upgma(Array.empty), Nil))
   }
 
   test("bestCut prefers smaller k on ties") {
-    val pts = Seq(Array(0.0), Array(10.0))
-    val d = dm(pts)
-    val cuts = Seq((2, Array(0, 1)))
-    assert(Silhouette.bestCut(d, cuts)._1 == 2)
+    // Four equidistant points: every cut with >= 2 clusters scores exactly 0.
+    val d = Array.tabulate(4, 4)((i, j) => if (i == j) 0.0 else 1.0)
+    val den = Hac.upgma(d)
+    assert(Silhouette.score(d, den.cut(2)) == 0.0 && Silhouette.score(d, den.cut(3)) == 0.0)
+    assert(Silhouette.bestCut(d, den, Seq(3, 2)) == 2)
   }
 }
