@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{Benchmarks, Table2Experiment}
+import repro.exp.{Benchmarks, DiversityWins, Table2Experiment}
 
 /** Table 2 — tuple diversification effectiveness and efficiency. */
 class Table2Bench extends AnyFunSuite {
@@ -10,7 +10,7 @@ class Table2Bench extends AnyFunSuite {
     val santos = Table2Experiment.run(Benchmarks.santos, Benchmarks.santosK, includeGne = false)
     val ugen = Table2Experiment.run(Benchmarks.ugen, Benchmarks.ugenK, includeGne = true)
     println("\n=== Table 2: Diversification algorithms (lite benchmarks) ===")
-    println(Table2Experiment.render(Seq(santos, ugen)))
+    println(DiversityWins.render(Seq(santos, ugen)))
     println(s"Random-baseline sanity (paper §6.4.3): DUST beats best-of-5 random " +
       s"on SANTOS for ${santos.dustBeatsRandomAvg}/${santos.nQueries} (Avg) and " +
       s"${santos.dustBeatsRandomMin}/${santos.nQueries} (Min) queries; " +
@@ -33,15 +33,15 @@ class Table2Bench extends AnyFunSuite {
     assert(res(santos, "DUST").avgWins >= res(santos, "CLT").avgWins)
     // Efficiency: DUST is much faster than GMC on the larger benchmark and
     // in the same league as CLT.
-    val dustT = res(santos, "DUST").avgTimeMs
-    val gmcT = res(santos, "GMC").avgTimeMs
-    val cltT = res(santos, "CLT").avgTimeMs
+    val dustT = res(santos, "DUST").avgTimeMs.get
+    val gmcT = res(santos, "GMC").avgTimeMs.get
+    val cltT = res(santos, "CLT").avgTimeMs.get
     assert(dustT < gmcT, s"DUST $dustT ms vs GMC $gmcT ms")
     assert(dustT < cltT * 3 + 50, s"DUST $dustT ms vs CLT $cltT ms")
     // GNE is the slowest method on UGEN (paper's observation).
-    val gneT = res(ugen, "GNE").avgTimeMs
+    val gneT = res(ugen, "GNE").avgTimeMs.get
     ugen.results.filter(r => r.included && r.method != "GNE").foreach { other =>
-      assert(gneT >= other.avgTimeMs, s"GNE $gneT vs ${other.method} ${other.avgTimeMs}")
+      assert(gneT >= other.avgTimeMs.get, s"GNE $gneT vs ${other.method} ${other.avgTimeMs.get}")
     }
     // Random sanity check: DUST beats best-of-5 random on most queries.
     assert(santos.dustBeatsRandomMin >= santos.nQueries - 2)

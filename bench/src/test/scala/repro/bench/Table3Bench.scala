@@ -1,16 +1,16 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{Benchmarks, Table3Experiment}
+import repro.exp.{Benchmarks, DiversityWins, Table3Experiment}
 
 /** Table 3 — DUST against table union search techniques (and the LLM). */
 class Table3Bench extends AnyFunSuite {
 
   test("Table 3: end-to-end diversity wins vs Starmie and the LLM") {
-    val santos = Table3Experiment.run(Benchmarks.santos, Benchmarks.santosK, includeLlm = false)
-    val ugen = Table3Experiment.run(Benchmarks.ugen, Benchmarks.ugenK, includeLlm = true)
+    val santos = Table3Experiment.run(Benchmarks.santos, Benchmarks.santosK)
+    val ugen = Table3Experiment.run(Benchmarks.ugen, Benchmarks.ugenK)
     println("\n=== Table 3: DUST vs table search techniques (lite benchmarks) ===")
-    println(Table3Experiment.render(Seq(santos, ugen)))
+    println(DiversityWins.render(Seq(santos, ugen)))
     println(f"Starmie table-search MAP: SANTOS ${santos.starmieMap}%.2f " +
       f"(paper 0.78), UGEN ${ugen.starmieMap}%.2f (paper 0.64).")
     println("""Paper: SANTOS — Starmie 5/1, LLM -, DUST 45/49.

@@ -49,7 +49,7 @@ object Table2Job {
       Table2Experiment.run(Benchmarks.santos, Benchmarks.santosK, includeGne = false),
       Table2Experiment.run(Benchmarks.ugen, Benchmarks.ugenK, includeGne = true),
     )
-    println(Table2Experiment.render(rs))
+    println(DiversityWins.render(rs))
   }
 }
 
@@ -57,20 +57,20 @@ object Table2Job {
 object Table3Job {
   def main(args: Array[String]): Unit = {
     val rs = Seq(
-      Table3Experiment.run(Benchmarks.santos, Benchmarks.santosK, includeLlm = false),
-      Table3Experiment.run(Benchmarks.ugen, Benchmarks.ugenK, includeLlm = true),
+      Table3Experiment.run(Benchmarks.santos, Benchmarks.santosK),
+      Table3Experiment.run(Benchmarks.ugen, Benchmarks.ugenK),
     )
-    println(Table3Experiment.render(rs))
+    println(DiversityWins.render(rs))
   }
 }
 
 /** Fig 7 + A.2.2/A.2.3 — scaling, pruning and p analyses. */
 object ScalingJob {
   def main(args: Array[String]): Unit = {
-    println(ScalingExperiment.renderTimings(
-      ScalingExperiment.varyS(Seq(400, 800, 1600, 3200), k = 50), "s"))
-    println(ScalingExperiment.renderTimings(
-      ScalingExperiment.varyK(Seq(25, 50, 100, 200), s = 1200), "k"))
+    println(ScalingExperiment.renderTimings(ScalingExperiment.varyS(Seq(400, 800, 1600, 3200), k = 50)))
+    println(ScalingExperiment.renderTimings(ScalingExperiment.varyK(Seq(25, 50, 100, 200), s = 1200)))
+    println(ScalingExperiment.renderPruning(ScalingExperiment.pruningEffect(nTuples = 6000, s = 1500, k = 50)))
+    println(ScalingExperiment.renderPImpact(ScalingExperiment.pImpact(Seq(1, 2, 3, 4))))
   }
 }
 

@@ -32,12 +32,12 @@ object ColumnAlignment {
       }.toMap
   }
 
-  private final case class Col(key: ColKey, tableIdx: Int, isQuery: Boolean, baseCol: Int)
+  private final case class Col(key: ColKey, tableIdx: Int, isQuery: Boolean)
 
   private def allCols(query: SimpleTable, tables: Seq[SimpleTable]): Vector[Col] = {
-    val q = query.cols.indices.map(j => Col(ColKey(query.name, j), 0, isQuery = true, query.cols(j).baseCol))
+    val q = query.cols.indices.map(j => Col(ColKey(query.name, j), 0, isQuery = true))
     val t = tables.zipWithIndex.flatMap { case (tab, ti) =>
-      tab.cols.indices.map(j => Col(ColKey(tab.name, j), ti + 1, isQuery = false, tab.cols(j).baseCol))
+      tab.cols.indices.map(j => Col(ColKey(tab.name, j), ti + 1, isQuery = false))
     }
     (q ++ t).toVector
   }

@@ -1,65 +1,54 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.util.VecOps
 
-/** The two adapted diversity measures of §5.4.
+/** The two adapted diversity measures of §5.4, over one set of cosine
+  * distances: all query↔selected distances plus all pairwise distances
+  * among the selected. Query-query distances are excluded (constant across
+  * methods).
   *
-  * Average Diversity (Eq. 1): mean of (a) all query↔selected distances and
-  * (b) all pairwise distances among the selected, normalized by n + k.
-  * Min Diversity (Eq. 2): minimum over the same two distance sets.
-  * Query-query distances are excluded (constant across methods).
+  * Average Diversity (Eq. 1): the sum of that set, normalized by n + k.
+  * Min Diversity (Eq. 2): the minimum of that set.
   *
-  * Driver implementations are the reference; Spark implementations express
-  * the same computation as a DataFrame dataflow and are oracle-checked
-  * against DuckDB in the test suite.
+  * The driver implementation is the reference; the Spark implementation
+  * expresses the same computation as a DataFrame dataflow and is
+  * oracle-checked against DuckDB in the test suite.
   */
 object DiversityMetrics {
 
-  type Dist = (Array[Double], Array[Double]) => Double
+  /** Eq. (1) and Eq. (2) of one selection. */
+  final case class Diversity(avg: Double, min: Double)
 
-  val cosine: Dist = VecOps.cosineDist
-  val euclidean: Dist = VecOps.euclidean
-  val manhattan: Dist = VecOps.manhattan
-
-  /** Eq. (1). Requires at least one selected tuple. */
-  def averageDiversity(query: Seq[Array[Double]], selected: Seq[Array[Double]],
-                       dist: Dist = cosine): Double = {
-    require(selected.nonEmpty, "no selected tuples")
+  /** Both measures from one pass over the distance set. The set must be
+    * non-empty: at least one selected tuple, and a query tuple or a second
+    * selected tuple.
+    */
+  def diversity(query: Seq[Array[Double]], selected: Seq[Array[Double]]): Diversity = {
     val n = query.size; val k = selected.size
+    require(k > 0, "no selected tuples")
+    require(n > 0 || k >= 2, "diversity needs at least one distance")
+    var m = Double.MaxValue
     var cross = 0.0
-    query.foreach(q => selected.foreach(t => cross += dist(q, t)))
+    query.foreach(q => selected.foreach { t =>
+      val d = VecOps.cosineDist(q, t); cross += d; m = math.min(m, d)
+    })
     var within = 0.0
     var i = 0
     while (i < k) {
       var j = i + 1
-      while (j < k) { within += dist(selected(i), selected(j)); j += 1 }
+      while (j < k) {
+        val d = VecOps.cosineDist(selected(i), selected(j)); within += d; m = math.min(m, d)
+        j += 1
+      }
       i += 1
     }
-    (cross + within) / (n + k)
-  }
-
-  /** Eq. (2). With k = 1 and no query tuples this is undefined; we require
-    * a non-empty union of the two distance sets.
-    */
-  def minDiversity(query: Seq[Array[Double]], selected: Seq[Array[Double]],
-                   dist: Dist = cosine): Double = {
-    require(selected.nonEmpty, "no selected tuples")
-    require(query.nonEmpty || selected.size >= 2, "Min Diversity needs at least one distance")
-    var m = Double.MaxValue
-    query.foreach(q => selected.foreach(t => m = math.min(m, dist(q, t))))
-    var i = 0
-    while (i < selected.size) {
-      var j = i + 1
-      while (j < selected.size) { m = math.min(m, dist(selected(i), selected(j))); j += 1 }
-      i += 1
-    }
-    m
+    Diversity((cross + within) / (n + k), m)
   }
 
   // -------------------------------------------------------------------
-  // Spark dataflow versions over (id LONG, vec ARRAY<DOUBLE>) frames.
+  // Spark dataflow version over (id LONG, vec ARRAY<DOUBLE>) frames.
   // -------------------------------------------------------------------
 
   private val cosDistUdf = udf { (a: Seq[Double], b: Seq[Double]) =>
@@ -81,15 +70,15 @@ object DiversityMetrics {
     cross.unionByName(within)
   }
 
-  /** Spark Average Diversity — same value as [[averageDiversity]]. */
-  def sparkAverageDiversity(spark: SparkSession, queryDf: DataFrame, selDf: DataFrame): Double = {
+  /** Spark [[diversity]]: the sum and the min of [[distancesDF]] in one
+    * aggregate. The sum is Spark's, so Eq. (1) may differ from the driver's
+    * in the last bits; Eq. (2) is exact.
+    */
+  def sparkDiversity(queryDf: DataFrame, selDf: DataFrame): Diversity = {
     val n = queryDf.count(); val k = selDf.count()
     require(k > 0, "no selected tuples")
-    val total = distancesDF(queryDf, selDf).agg(sum("d")).head.getDouble(0)
-    total / (n + k)
+    require(n > 0 || k >= 2, "diversity needs at least one distance")
+    val row = distancesDF(queryDf, selDf).agg(sum("d"), min("d")).head
+    Diversity(row.getDouble(0) / (n + k), row.getDouble(1))
   }
-
-  /** Spark Min Diversity — same value as [[minDiversity]]. */
-  def sparkMinDiversity(spark: SparkSession, queryDf: DataFrame, selDf: DataFrame): Double =
-    distancesDF(queryDf, selDf).agg(min("d")).head.getDouble(0)
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import repro.data.{LakeBenchmark, SimpleTable}
-import repro.embed.{ColumnEmbedder, ColumnEmbedders, TfIdf}
+import repro.embed.{ColumnEmbedders, TfIdf}
 import repro.search.UnionSearch
 import repro.util.Par
 
@@ -48,10 +48,9 @@ object Dust {
     *                       unionable tables, as the paper does)
     */
   def run(query: SimpleTable, bench: LakeBenchmark, model: DustModel, cfg: Config,
-          embedder: ColumnEmbedder = ColumnEmbedders.dustDefault,
           tfidfOpt: Option[TfIdf] = None,
           tablesOverride: Option[Vector[SimpleTable]] = None): Result =
-    pipeline(query, bench, model, cfg, embedder, tfidfOpt, tablesOverride) { (lakeEmb, queryEmb) =>
+    pipeline(query, bench, model, cfg, tfidfOpt, tablesOverride) { (lakeEmb, queryEmb) =>
       DiversifyTuples.run(lakeEmb, queryEmb, cfg.k, cfg.p, cfg.s)
     }
 
@@ -60,10 +59,9 @@ object Dust {
     * path); clustering stays on the driver. Selects what [[run]] selects.
     */
   def runSpark(spark: SparkSession, query: SimpleTable, bench: LakeBenchmark, model: DustModel,
-               cfg: Config, embedder: ColumnEmbedder = ColumnEmbedders.dustDefault,
-               tfidfOpt: Option[TfIdf] = None,
+               cfg: Config, tfidfOpt: Option[TfIdf] = None,
                tablesOverride: Option[Vector[SimpleTable]] = None): Result =
-    pipeline(query, bench, model, cfg, embedder, tfidfOpt, tablesOverride) { (lakeEmb, queryEmb) =>
+    pipeline(query, bench, model, cfg, tfidfOpt, tablesOverride) { (lakeEmb, queryEmb) =>
       import DiversifyTuples._
       val pruned = fromDF(sparkPrune(spark, toDF(spark, lakeEmb), cfg.s))
       val medoids = clusterMedoids(pruned, cfg.k * cfg.p)
@@ -72,14 +70,16 @@ object Dust {
     }
 
   /** SearchTables → AlignColumns → OuterUnion → EmbedTuples, then
-    * `diversify(lake embeddings, query embeddings)`.
+    * `diversify(lake embeddings, query embeddings)`. Search and alignment
+    * embed columns with [[ColumnEmbedders.dustDefault]].
     */
   private def pipeline(query: SimpleTable, bench: LakeBenchmark, model: DustModel, cfg: Config,
-                       embedder: ColumnEmbedder, tfidfOpt: Option[TfIdf],
+                       tfidfOpt: Option[TfIdf],
                        tablesOverride: Option[Vector[SimpleTable]])(
       diversify: (Vector[DiversifyTuples.EmbTuple], Vector[Array[Double]]) => Vector[DiversifyTuples.EmbTuple]
   ): Result = {
     val tfidf = tfidfOpt.getOrElse(TfIdf.fit(bench.lake :+ query))
+    val embedder = ColumnEmbedders.dustDefault
     val tables = tablesOverride.getOrElse(
       UnionSearch.searchTables(query, bench, cfg.topN, embedder, tfidf))
     val aligned = ColumnAlignment.alignHolistic(query, tables, embedder, tfidf)

@@ -15,7 +15,6 @@ trait DivAlgo {
 }
 
 object DivAlgo {
-  type Dist = (Array[Double], Array[Double]) => Double
 
   /** Relevance of a tuple for MMR-style methods: similarity to the query
     * centroid (the standard IR notion adapted to tuples).
@@ -26,8 +25,7 @@ object DivAlgo {
   /** Max-sum set objective used by GMC/GNE:
     * F(R) = λ·(k−1)·Σ rel(r) + 2(1−λ)·Σ_{i<j} δ(r_i, r_j)  (Vieira et al.).
     */
-  def setScore(sel: Vector[EmbTuple], centroid: Array[Double], lambda: Double,
-               dist: Dist): Double = {
+  def setScore(sel: Vector[EmbTuple], centroid: Array[Double], lambda: Double): Double = {
     val k = sel.size
     if (k == 0) return 0.0
     val rel = sel.map(relevance(_, centroid)).sum
@@ -35,7 +33,7 @@ object DivAlgo {
     var i = 0
     while (i < k) {
       var j = i + 1
-      while (j < k) { div += dist(sel(i).vec, sel(j).vec); j += 1 }
+      while (j < k) { div += VecOps.cosineDist(sel(i).vec, sel(j).vec); j += 1 }
       i += 1
     }
     lambda * math.max(1, k - 1) * rel + 2.0 * (1.0 - lambda) * div

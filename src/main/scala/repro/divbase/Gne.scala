@@ -50,7 +50,7 @@ final case class Gne(lambda: Double = 0.5, iterations: Int = 10, rcl: Int = 3,
     }
 
     def score(sel: Vector[Int]): Double =
-      DivAlgo.setScore(sel.map(cands(_)), centroid, lambda, VecOps.cosineDist)
+      DivAlgo.setScore(sel.map(cands(_)), centroid, lambda)
 
     var bestSel = construct()
     var bestScore = score(bestSel)

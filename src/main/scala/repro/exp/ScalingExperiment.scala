@@ -31,13 +31,11 @@ object ScalingExperiment {
   final case class TimingRow(method: String, s: Int, k: Int, millis: Double)
 
   /** Fig 7(a): vary the candidate count s at fixed k. */
-  def varyS(sValues: Seq[Int], k: Int, includeGne: Boolean = false): Vector[TimingRow] = {
+  def varyS(sValues: Seq[Int], k: Int): Vector[TimingRow] = {
     val query = queryCloud(40)
     sValues.toVector.flatMap { s =>
       val cands = cloud(s)
-      val algos: Vector[DivAlgo] =
-        Vector(Gmc(), Clt(), DustDiv()) ++ (if (includeGne) Vector(Gne()) else Vector.empty)
-      algos.map { a =>
+      Vector[DivAlgo](Gmc(), Clt(), DustDiv()).map { a =>
         val (_, ns) = Fmt.timed(a.select(cands, query, k))
         TimingRow(a.name, s, k, ns / 1e6)
       }
@@ -90,15 +88,19 @@ object ScalingExperiment {
     val cands = all.take(s)
     val query = all.drop(s).map(_.vec)
     ps.toVector.map { p =>
-      val sel = DustDiv(p = p).select(cands, query, k).map(_.vec)
-      PRow(p,
-        DiversityMetrics.averageDiversity(query, sel),
-        DiversityMetrics.minDiversity(query, sel))
+      val d = DiversityMetrics.diversity(query, DustDiv(p = p).select(cands, query, k).map(_.vec))
+      PRow(p, d.avg, d.min)
     }
   }
 
-  def renderTimings(rows: Seq[TimingRow], varying: String): String =
+  def renderTimings(rows: Seq[TimingRow]): String =
     Fmt.table(
       Seq("Method", "s", "k", "Time(ms)"),
       rows.map(r => Seq(r.method, r.s.toString, r.k.toString, Fmt.f2(r.millis))))
+
+  def renderPruning(rows: Seq[PruningRow]): String =
+    rows.map(r => f"${r.variant}%-18s clustered=${r.clusteredSize}%5d time=${r.millis}%8.1f ms").mkString("\n")
+
+  def renderPImpact(rows: Seq[PRow]): String =
+    rows.map(r => f"p=${r.p} avgDiv=${r.avgDiv}%.4f minDiv=${r.minDiv}%.4f").mkString("\n")
 }

@@ -14,11 +14,9 @@ import repro.embed.ColumnEmbedders
   */
 object Table2Experiment {
 
-  final case class MethodResult(method: String, avgWins: Int, minWins: Int,
-                                avgTimeMs: Double, included: Boolean)
-
-  final case class BenchResult(benchmark: String, results: Vector[MethodResult],
+  final case class BenchResult(benchmark: String, results: Vector[DiversityWins.MethodResult],
                                dustBeatsRandomAvg: Int, dustBeatsRandomMin: Int, nQueries: Int)
+    extends DiversityWins.Table
 
   /** Per-query diversification inputs: candidate lake tuples + query embeddings. */
   final case class QueryInstance(name: String,
@@ -44,70 +42,31 @@ object Table2Experiment {
     }
   }
 
-  /** Methods whose score is within 1e-12 of the best (all of them win a tie). */
-  private[exp] def winners(scores: Seq[(String, Double)]): Set[String] = {
-    val best = scores.map(_._2).max
-    scores.collect { case (m, v) if v >= best - 1e-12 => m }.toSet
-  }
-
   def run(bench: LakeBenchmark, k: Int, includeGne: Boolean): BenchResult = {
-    val algos: Vector[(DivAlgo, Boolean)] = Vector(
-      (Gmc(), true),
-      (Gne(), includeGne),
-      (Clt(), true),
-      (DustDiv(), true),
-    )
+    val methods: Vector[DivAlgo] = Vector(Gmc(), Gne(), Clt(), DustDiv())
+    val algos = methods.filter(a => includeGne || a.name != "GNE")
     val insts = instances(bench)
-    val avgWins = scala.collection.mutable.HashMap.empty[String, Int].withDefaultValue(0)
-    val minWins = scala.collection.mutable.HashMap.empty[String, Int].withDefaultValue(0)
-    val times = scala.collection.mutable.HashMap.empty[String, Long].withDefaultValue(0L)
     var dustBeatsRandomAvg = 0; var dustBeatsRandomMin = 0
 
-    insts.foreach { inst =>
+    val perQuery = insts.map { inst =>
       val kk = math.min(k, math.max(1, inst.cands.size - 1))
-      val perAlgo = algos.collect { case (a, true) =>
+      val scored = algos.map { a =>
         val (sel, ns) = Fmt.timed(a.select(inst.cands, inst.queryEmb, kk))
-        times(a.name) += ns
-        val vecs = sel.map(_.vec)
-        (a.name,
-         DiversityMetrics.averageDiversity(inst.queryEmb, vecs),
-         DiversityMetrics.minDiversity(inst.queryEmb, vecs))
+        DiversityWins.Scored(a.name, DiversityMetrics.diversity(inst.queryEmb, sel.map(_.vec)), Some(ns))
       }
-      winners(perAlgo.map(r => (r._1, r._2))).foreach(m => avgWins(m) += 1)
-      winners(perAlgo.map(r => (r._1, r._3))).foreach(m => minWins(m) += 1)
 
       // Best-of-5-seeds random baseline vs DUST (§6.4.3's sanity check).
-      val dust = perAlgo.find(_._1 == "DUST").get
+      val dust = scored.find(_.method == "DUST").get.diversity
       val randomSets = (1 to 5).map { sd =>
-        val sel = RandomDiv(sd.toLong).select(inst.cands, inst.queryEmb, kk).map(_.vec)
-        (DiversityMetrics.averageDiversity(inst.queryEmb, sel),
-         DiversityMetrics.minDiversity(inst.queryEmb, sel))
+        DiversityMetrics.diversity(inst.queryEmb,
+          RandomDiv(sd.toLong).select(inst.cands, inst.queryEmb, kk).map(_.vec))
       }
-      if (dust._2 >= randomSets.map(_._1).max) dustBeatsRandomAvg += 1
-      if (dust._3 >= randomSets.map(_._2).max) dustBeatsRandomMin += 1
+      if (dust.avg >= randomSets.map(_.avg).max) dustBeatsRandomAvg += 1
+      if (dust.min >= randomSets.map(_.min).max) dustBeatsRandomMin += 1
+      scored
     }
 
-    val results = algos.map { case (a, included) =>
-      MethodResult(a.name,
-        if (included) avgWins(a.name) else -1,
-        if (included) minWins(a.name) else -1,
-        if (included) times(a.name) / 1e6 / math.max(1, insts.size) else -1.0,
-        included)
-    }
-    BenchResult(bench.name, results, dustBeatsRandomAvg, dustBeatsRandomMin, insts.size)
-  }
-
-  def render(rs: Seq[BenchResult]): String = {
-    val header = Seq("Method") ++ rs.flatMap(r =>
-      Seq(s"${r.benchmark} #Avg", s"${r.benchmark} #Min", s"${r.benchmark} Time(ms)"))
-    val methodNames = rs.head.results.map(_.method)
-    val lines = methodNames.map { m =>
-      Seq(m) ++ rs.flatMap { r =>
-        val mr = r.results.find(_.method == m).get
-        if (!mr.included) Seq("-", "-", "-")
-        else Seq(mr.avgWins.toString, mr.minWins.toString, Fmt.f2(mr.avgTimeMs))
-      }
-    }
-    Fmt.table(header, lines)
+    BenchResult(bench.name, DiversityWins.tally(methods.map(_.name), perQuery),
+      dustBeatsRandomAvg, dustBeatsRandomMin, insts.size)
   }
 }

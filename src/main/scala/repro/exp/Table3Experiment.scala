@@ -13,20 +13,18 @@ import repro.search.{LlmSim, TupleSearch, UnionSearch}
   */
 object Table3Experiment {
 
-  final case class MethodResult(method: String, avgWins: Int, minWins: Int, included: Boolean)
-  final case class BenchResult(benchmark: String, results: Vector[MethodResult],
+  final case class BenchResult(benchmark: String, results: Vector[DiversityWins.MethodResult],
                                starmieMap: Double, nQueries: Int)
+    extends DiversityWins.Table
 
-  def run(bench: LakeBenchmark, k: Int, includeLlm: Boolean): BenchResult = {
+  def run(bench: LakeBenchmark, k: Int): BenchResult = {
     val tfidf = Benchmarks.tfidfFor(bench)
     val model = Models.dustRoberta
-    val avgWins = scala.collection.mutable.HashMap.empty[String, Int].withDefaultValue(0)
-    val minWins = scala.collection.mutable.HashMap.empty[String, Int].withDefaultValue(0)
-    var mapSum = 0.0; var n = 0
 
-    bench.queries.foreach { q =>
+    val perQuery = bench.queries.flatMap { q =>
       val gtTables = bench.unionableFor(q)
-      if (gtTables.nonEmpty) {
+      if (gtTables.isEmpty) None
+      else {
         // Shared substrate: alignment over ground-truth unionable tables.
         val aligned = ColumnAlignment.alignHolistic(q, gtTables, ColumnEmbedders.dustDefault, tfidf)
         val lakeTuples = OuterUnion.union(q, gtTables, aligned)
@@ -42,44 +40,22 @@ object Table3Experiment {
                             tfidfOpt = Some(tfidf))
         val dustSel = Dust.embed(model, dust.selected)
 
-        val llmSel =
-          if (includeLlm)
-            LlmSim.generate(q, kk).map(_.map(g => model.embed(g.pairs)))
-          else None
+        // The LLM declines queries over its prompt budget (SANTOS's "-").
+        val llmSel = LlmSim.generate(q, kk).map(_.map(g => model.embed(g.pairs)))
 
         val perMethod =
-          Vector("Starmie" -> starmieSel, "DUST" -> dustSel) ++
-            llmSel.map(s => "LLM" -> s).toVector
+          Vector("Starmie" -> starmieSel, "DUST" -> dustSel) ++ llmSel.map(s => "LLM" -> s).toVector
         val scored = perMethod.map { case (m, sel) =>
-          (m,
-           DiversityMetrics.averageDiversity(queryEmb, sel),
-           DiversityMetrics.minDiversity(queryEmb, sel))
+          DiversityWins.Scored(m, DiversityMetrics.diversity(queryEmb, sel))
         }
-        Table2Experiment.winners(scored.map(r => (r._1, r._2))).foreach(m => avgWins(m) += 1)
-        Table2Experiment.winners(scored.map(r => (r._1, r._3))).foreach(m => minWins(m) += 1)
-
-        mapSum += UnionSearch.averagePrecision(q,
+        val ap = UnionSearch.averagePrecision(q,
           UnionSearch.rankTables(q, bench, ColumnEmbedders.dustDefault, tfidf).map(_.table))
-        n += 1
+        Some((scored, ap))
       }
     }
-    val methods = Vector(("Starmie", true), ("LLM", includeLlm), ("DUST", true))
+    val n = perQuery.size
     BenchResult(bench.name,
-      methods.map { case (m, inc) =>
-        MethodResult(m, if (inc) avgWins(m) else -1, if (inc) minWins(m) else -1, inc)
-      },
-      mapSum / math.max(1, n), n)
-  }
-
-  def render(rs: Seq[BenchResult]): String = {
-    val header = Seq("Method") ++ rs.flatMap(r => Seq(s"${r.benchmark} #Avg", s"${r.benchmark} #Min"))
-    val methodNames = rs.head.results.map(_.method)
-    val lines = methodNames.map { m =>
-      Seq(m) ++ rs.flatMap { r =>
-        val mr = r.results.find(_.method == m).get
-        if (!mr.included) Seq("-", "-") else Seq(mr.avgWins.toString, mr.minWins.toString)
-      }
-    }
-    Fmt.table(header, lines)
+      DiversityWins.tally(Vector("Starmie", "LLM", "DUST"), perQuery.map(_._1)),
+      perQuery.map(_._2).foldLeft(0.0)(_ + _) / math.max(1, n), n)
   }
 }

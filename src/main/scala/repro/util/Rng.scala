@@ -48,12 +48,6 @@ final class Rng(seed: Long) {
     a.toVector.asInstanceOf[Vector[A]]
   }
 
-  /** Sample m distinct indices from [0, n) (m <= n). */
-  def sampleIndices(n: Int, m: Int): Vector[Int] = {
-    require(m <= n, s"cannot sample $m from $n")
-    shuffle(0 until n).take(m).sorted
-  }
-
   /** Pick one element. */
   def pick[A](xs: IndexedSeq[A]): A = xs(nextInt(xs.length))
 }

@@ -22,7 +22,10 @@ object VecOps {
     if (na == 0.0 || nb == 0.0) 0.0 else dot(a, b) / (na * nb)
   }
 
-  /** Cosine distance = 1 - cosine similarity; in [0, 2]. δ(x, x) = 0. */
+  /** Cosine distance = 1 - cosine similarity; in [0, 2]. δ(x, x) = 0 for
+    * every non-zero x, but a zero vector is at distance 1 from every vector,
+    * itself included, since [[cosineSim]] is 0 there (ROADMAP item 1).
+    */
   def cosineDist(a: Array[Double], b: Array[Double]): Double = 1.0 - cosineSim(a, b)
 
   def euclidean(a: Array[Double], b: Array[Double]): Double = {
@@ -30,13 +33,6 @@ object VecOps {
     var s = 0.0; var i = 0
     while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
     math.sqrt(s)
-  }
-
-  def manhattan(a: Array[Double], b: Array[Double]): Double = {
-    require(a.length == b.length, s"dim mismatch ${a.length} vs ${b.length}")
-    var s = 0.0; var i = 0
-    while (i < a.length) { s += math.abs(a(i) - b(i)); i += 1 }
-    s
   }
 
   /** a += w * b in place. */

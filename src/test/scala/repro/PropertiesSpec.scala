@@ -116,7 +116,7 @@ class PropertiesSpec extends SparkSpec {
         val rng = new Rng(seed)
         val q = Vector.fill(nq)(Array.fill(4)(rng.nextGaussian()))
         val s = Vector.fill(nk)(Array.fill(4)(rng.nextGaussian()))
-        assert(repro.core.DiversityMetrics.averageDiversity(q, s) >= 0.0)
+        assert(repro.core.DiversityMetrics.diversity(q, s).avg >= 0.0)
     }
   }
 

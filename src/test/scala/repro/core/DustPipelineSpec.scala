@@ -63,7 +63,7 @@ class DustPipelineSpec extends SparkSpec {
   test("DUST's selection is more min-diverse than the most-similar tuples (Fig 1 claim)") {
     val starmieTop = repro.search.TupleSearch.topK(result.lakeTuples, result.queryTuples, cfg.k)
     def minDiv(sel: Seq[OuterUnion.UnionTuple]): Double =
-      DiversityMetrics.minDiversity(result.queryEmb, sel.map(t => model.embed(t.pairs)))
+      DiversityMetrics.diversity(result.queryEmb, sel.map(t => model.embed(t.pairs))).min
     assert(minDiv(result.selected) >= minDiv(starmieTop))
   }
 

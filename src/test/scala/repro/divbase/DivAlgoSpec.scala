@@ -21,15 +21,15 @@ class DivAlgoSpec extends SparkSpec {
   }
 
   test("setScore is zero for the empty set") {
-    assert(DivAlgo.setScore(Vector.empty, Array(1.0), 0.3, VecOps.cosineDist) == 0.0)
+    assert(DivAlgo.setScore(Vector.empty, Array(1.0), 0.3) == 0.0)
   }
 
   test("setScore grows when a diverse element is added") {
     val centroid = Array(1.0, 0.0)
     val a = EmbTuple(0, "t", Array(1.0, 0.0))
     val b = EmbTuple(1, "t", Array(-1.0, 0.0))
-    val s1 = DivAlgo.setScore(Vector(a), centroid, 0.3, VecOps.cosineDist)
-    val s2 = DivAlgo.setScore(Vector(a, b), centroid, 0.3, VecOps.cosineDist)
+    val s1 = DivAlgo.setScore(Vector(a), centroid, 0.3)
+    val s2 = DivAlgo.setScore(Vector(a, b), centroid, 0.3)
     assert(s2 > s1)
   }
 
@@ -64,8 +64,8 @@ class DivAlgoSpec extends SparkSpec {
   test("GMC achieves a higher max-sum objective than random selection") {
     val c = mkTuples(60, 9); val q = mkQuery(4, 10)
     val centroid = VecOps.mean(q)
-    val gmc = DivAlgo.setScore(Gmc().select(c, q, 10), centroid, 0.3, VecOps.cosineDist)
-    val rnd = DivAlgo.setScore(RandomDiv(1).select(c, q, 10), centroid, 0.3, VecOps.cosineDist)
+    val gmc = DivAlgo.setScore(Gmc().select(c, q, 10), centroid, 0.3)
+    val rnd = DivAlgo.setScore(RandomDiv(1).select(c, q, 10), centroid, 0.3)
     assert(gmc >= rnd)
   }
 
@@ -86,7 +86,7 @@ class DivAlgoSpec extends SparkSpec {
   test("GNE never scores below its own greedy construction quality floor") {
     val c = mkTuples(40, 15); val q = mkQuery(4, 16)
     val centroid = VecOps.mean(q)
-    val gne = DivAlgo.setScore(Gne().select(c, q, 8), centroid, 0.3, VecOps.cosineDist)
+    val gne = DivAlgo.setScore(Gne().select(c, q, 8), centroid, 0.3)
     assert(gne > 0.0)
   }
 
@@ -155,8 +155,8 @@ class DivAlgoSpec extends SparkSpec {
     val cands = onQuery ++ away
     val dust = DustDiv().select(cands, qv, 5).map(_.vec)
     val clt = Clt().select(cands, qv, 5).map(_.vec)
-    val dustMin = repro.core.DiversityMetrics.minDiversity(qv, dust)
-    val cltMin = repro.core.DiversityMetrics.minDiversity(qv, clt)
+    val dustMin = repro.core.DiversityMetrics.diversity(qv, dust).min
+    val cltMin = repro.core.DiversityMetrics.diversity(qv, clt).min
     assert(dustMin >= cltMin)
   }
 }

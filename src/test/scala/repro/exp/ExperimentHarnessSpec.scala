@@ -55,6 +55,27 @@ class ExperimentHarnessSpec extends SparkSpec {
     rows.foreach(r => assert(r.avgDiv > 0 && r.minDiv >= 0))
   }
 
+  test("wins tally: every method within 1e-12 of the best wins, a method that never ran renders -") {
+    import DiversityWins._
+    def sc(m: String, avg: Double, min: Double) =
+      Scored(m, repro.core.DiversityMetrics.Diversity(avg, min), Some(3000000L))
+    val perQuery = Seq(
+      Seq(sc("A", 1.0, 0.5), sc("B", 1.0 - 5e-13, 0.5 - 2e-12)),
+      Seq(sc("A", 0.2, 0.3), sc("B", 0.9, 0.3 - 5e-13)))
+    val rs = tally(Seq("A", "B", "C"), perQuery)
+    assert(rs.map(r => (r.method, r.avgWins, r.minWins, r.included)) ==
+      Vector(("A", 1, 2, true), ("B", 2, 1, true), ("C", 0, 0, false)))
+    assert(rs.head.avgTimeMs.contains(3.0))
+    def cells(t: Seq[MethodResult]) = render(Seq(new Table {
+      val benchmark = "X"; val results = t.toVector
+    })).linesIterator.toVector.map(_.split('|').map(_.trim).filter(_.nonEmpty).toSeq)
+    assert(cells(rs).head == Seq("Method", "X #Avg", "X #Min", "X Time(ms)"))
+    assert(cells(rs).last == Seq("C", "-", "-", "-"))
+    val untimed = tally(Seq("A", "C"), perQuery.map(_.map(_.copy(nanos = None))))
+    assert(cells(untimed).head == Seq("Method", "X #Avg", "X #Min"))
+    assert(cells(untimed).last == Seq("C", "-", "-"))
+  }
+
   test("Fmt.table renders aligned rows") {
     val t = Fmt.table(Seq("a", "bb"), Seq(Seq("1", "2"), Seq("33", "4")))
     assert(t.linesIterator.size == 4)

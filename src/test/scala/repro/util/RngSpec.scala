@@ -64,17 +64,6 @@ class RngSpec extends SparkSpec {
     assert(r.shuffle(Vector(42)) == Vector(42))
   }
 
-  test("sampleIndices returns m distinct sorted indices") {
-    val r = new Rng(11)
-    val s = r.sampleIndices(100, 10)
-    assert(s.size == 10 && s.distinct.size == 10 && s == s.sorted)
-    assert(s.forall(i => i >= 0 && i < 100))
-  }
-
-  test("sampleIndices rejects m > n") {
-    intercept[IllegalArgumentException](new Rng(1).sampleIndices(3, 5))
-  }
-
   test("hashString is stable and spreads") {
     assert(Rng.hashString("abc") == Rng.hashString("abc"))
     assert(Rng.hashString("abc") != Rng.hashString("abd"))

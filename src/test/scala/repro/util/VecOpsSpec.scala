@@ -49,10 +49,6 @@ class VecOpsSpec extends SparkSpec {
     assert(math.abs(VecOps.euclidean(Array(0.0, 0.0), Array(3.0, 4.0)) - 5.0) < eps)
   }
 
-  test("manhattan matches hand computation") {
-    assert(math.abs(VecOps.manhattan(Array(1.0, -1.0), Array(-2.0, 3.0)) - 7.0) < eps)
-  }
-
   test("addInPlace with weight") {
     val a = Array(1.0, 1.0)
     VecOps.addInPlace(a, Array(2.0, 4.0), 0.5)
