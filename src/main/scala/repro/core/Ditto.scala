@@ -49,11 +49,10 @@ object Ditto {
     rng.shuffle(Vector.fill(half)(positive()) ++ Vector.fill(half)(negative()))
   }
 
-  /** Fine-tune the Ditto model on EM pairs (same architecture as DUST). */
-  def train(base: TupleFeaturizer, bench: LakeBenchmark, nPairs: Int = 3000,
-            cfg: DustModel.TrainConfig = DustModel.TrainConfig(seed = 777)): DustModel = {
-    val pairs = emPairs(bench, nPairs)
+  /** Fine-tune the Ditto model on 3000 EM pairs (same architecture as DUST). */
+  def train(base: TupleFeaturizer, bench: LakeBenchmark): DustModel = {
+    val pairs = emPairs(bench, 3000)
     val nVal = pairs.length / 10
-    DustModel.finetuneOnPairs(base, pairs.drop(nVal), pairs.take(nVal), cfg)._1
+    DustModel.finetuneOnPairs(base, pairs.drop(nVal), pairs.take(nVal), DustModel.TrainConfig(seed = 777))._1
   }
 }

@@ -6,8 +6,8 @@ import repro.embed.{ColumnEmbedders, TfIdf}
 import repro.search.UnionSearch
 import repro.util.Par
 
-/** DUST end-to-end (Algorithm 1): SearchTables → AlignColumns → EmbedTuples
-  * → DiversifyTuples.
+/** DUST end-to-end (Algorithm 1): SearchTables → [[prepare]] (AlignColumns →
+  * OuterUnion → EmbedTuples) → [[diversify]] (DiversifyTuples, Algorithm 2).
   */
 object Dust {
 
@@ -16,8 +16,13 @@ object Dust {
       k: Int = 30,      // output diverse tuples
       p: Int = 2,       // candidate multiplier (App. A.2.2)
       s: Int = 2500,    // pruning budget (§5.1)
-  )
+  ) {
+    require(topN >= 1 && k >= 1 && p >= 1 && s >= 1, s"Config needs topN, k, p and s >= 1: $this")
+  }
 
+  /** Stage outputs of one query. `lakeEmb(i)` embeds `lakeTuples(i)`, whose
+    * id is `i`; `selected` is empty until [[diversify]] fills it.
+    */
   final case class Result(
       tables: Vector[SimpleTable],
       aligned: ColumnAlignment.Aligned,
@@ -25,7 +30,14 @@ object Dust {
       lakeTuples: Vector[OuterUnion.UnionTuple],
       queryEmb: Vector[Array[Double]],
       selected: Vector[OuterUnion.UnionTuple],
-  )
+      lakeEmb: Vector[DiversifyTuples.EmbTuple],
+  ) {
+    /** The embeddings of the selected tuples, in selection order. */
+    def selectedEmb: Vector[Array[Double]] = selected.map(t => lakeEmb(t.id.toInt).vec)
+
+    private[Dust] def select(chosen: Vector[DiversifyTuples.EmbTuple]): Result =
+      copy(selected = chosen.map(c => lakeTuples(c.id.toInt)))
+  }
 
   /** Embed unionable tuples with the fine-tuned model. */
   def embedTuples(model: DustModel, tuples: Seq[OuterUnion.UnionTuple]): Vector[DiversifyTuples.EmbTuple] =
@@ -41,6 +53,21 @@ object Dust {
     Par.tabulate(ts.size)(i => model.embed(ts(i).pairs, tokens)).toVector
   }
 
+  /** Algorithm 1 over a given table set: AlignColumns (with
+    * [[ColumnEmbedders.dustDefault]]) → OuterUnion → EmbedTuples.
+    */
+  def prepare(query: SimpleTable, tables: Vector[SimpleTable], model: DustModel, tfidf: TfIdf): Result = {
+    val aligned = ColumnAlignment.alignHolistic(query, tables, ColumnEmbedders.dustDefault, tfidf)
+    val lakeTuples = OuterUnion.union(query, tables, aligned)
+    val queryTuples = OuterUnion.queryTuples(query)
+    val lakeEmb = embedTuples(model, lakeTuples)
+    Result(tables, aligned, queryTuples, lakeTuples, embed(model, queryTuples), Vector.empty, lakeEmb)
+  }
+
+  /** Algorithm 2 on the driver over a prepared union: prune, cluster, re-rank. */
+  def diversify(u: Result, cfg: Config): Result =
+    u.select(DiversifyTuples.run(u.lakeEmb, u.queryEmb, cfg.k, cfg.p, cfg.s))
+
   /** Full pipeline on the driver.
     *
     * @param tablesOverride bypass SearchTables with a fixed unionable set
@@ -50,9 +77,7 @@ object Dust {
   def run(query: SimpleTable, bench: LakeBenchmark, model: DustModel, cfg: Config,
           tfidfOpt: Option[TfIdf] = None,
           tablesOverride: Option[Vector[SimpleTable]] = None): Result =
-    pipeline(query, bench, model, cfg, tfidfOpt, tablesOverride) { (lakeEmb, queryEmb) =>
-      DiversifyTuples.run(lakeEmb, queryEmb, cfg.k, cfg.p, cfg.s)
-    }
+    diversify(searchAndPrepare(query, bench, model, cfg, tfidfOpt, tablesOverride), cfg)
 
   /** Same pipeline with the prune and re-rank steps executed as Spark
     * dataflows over the embedded-tuple frames (the lake-scale deployment
@@ -60,35 +85,23 @@ object Dust {
     */
   def runSpark(spark: SparkSession, query: SimpleTable, bench: LakeBenchmark, model: DustModel,
                cfg: Config, tfidfOpt: Option[TfIdf] = None,
-               tablesOverride: Option[Vector[SimpleTable]] = None): Result =
-    pipeline(query, bench, model, cfg, tfidfOpt, tablesOverride) { (lakeEmb, queryEmb) =>
-      import DiversifyTuples._
-      val pruned = fromDF(sparkPrune(spark, toDF(spark, lakeEmb), cfg.s))
-      val medoids = clusterMedoids(pruned, cfg.k * cfg.p)
-      val queryDf = toDF(spark, queryEmb.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, query.name, v) })
-      fromDF(sparkRerank(spark, toDF(spark, medoids), queryDf, cfg.k).orderBy("rk"))
-    }
+               tablesOverride: Option[Vector[SimpleTable]] = None): Result = {
+    import DiversifyTuples._
+    val u = searchAndPrepare(query, bench, model, cfg, tfidfOpt, tablesOverride)
+    val pruned = fromDF(sparkPrune(spark, toDF(spark, u.lakeEmb), cfg.s))
+    val medoids = clusterMedoids(pruned, cfg.k * cfg.p)
+    val queryDf = toDF(spark, u.queryTuples.zip(u.queryEmb).map { case (t, v) => EmbTuple(t.id, t.table, v) })
+    u.select(fromDF(sparkRerank(spark, toDF(spark, medoids), queryDf, cfg.k).orderBy("rk")))
+  }
 
-  /** SearchTables → AlignColumns → OuterUnion → EmbedTuples, then
-    * `diversify(lake embeddings, query embeddings)`. Search and alignment
-    * embed columns with [[ColumnEmbedders.dustDefault]].
-    */
-  private def pipeline(query: SimpleTable, bench: LakeBenchmark, model: DustModel, cfg: Config,
-                       tfidfOpt: Option[TfIdf],
-                       tablesOverride: Option[Vector[SimpleTable]])(
-      diversify: (Vector[DiversifyTuples.EmbTuple], Vector[Array[Double]]) => Vector[DiversifyTuples.EmbTuple]
-  ): Result = {
+  /** SearchTables (unless `tablesOverride` fixes the tables), then [[prepare]]. */
+  private def searchAndPrepare(query: SimpleTable, bench: LakeBenchmark, model: DustModel, cfg: Config,
+                               tfidfOpt: Option[TfIdf],
+                               tablesOverride: Option[Vector[SimpleTable]]): Result = {
+    require(query.nRows > 0, s"query ${query.name} has no rows")
     val tfidf = tfidfOpt.getOrElse(TfIdf.fit(bench.lake :+ query))
-    val embedder = ColumnEmbedders.dustDefault
     val tables = tablesOverride.getOrElse(
-      UnionSearch.searchTables(query, bench, cfg.topN, embedder, tfidf))
-    val aligned = ColumnAlignment.alignHolistic(query, tables, embedder, tfidf)
-    val lakeTuples = OuterUnion.union(query, tables, aligned)
-    val queryTuples = OuterUnion.queryTuples(query)
-    val lakeEmb = embedTuples(model, lakeTuples)
-    val queryEmb = embed(model, queryTuples)
-    val chosen = diversify(lakeEmb, queryEmb)
-    val byId = lakeTuples.map(t => t.id -> t).toMap
-    Result(tables, aligned, queryTuples, lakeTuples, queryEmb, chosen.map(c => byId(c.id)))
+      UnionSearch.searchTables(query, bench, cfg.topN, ColumnEmbedders.dustDefault, tfidf))
+    prepare(query, tables, model, tfidf)
   }
 }

@@ -64,18 +64,14 @@ object DustModel {
     */
   val Threshold = 0.7
 
-  def predictUnionable(e1: Array[Double], e2: Array[Double], threshold: Double = Threshold): Boolean =
-    VecOps.cosineDist(e1, e2) < threshold
+  def predictUnionable(e1: Array[Double], e2: Array[Double]): Boolean =
+    VecOps.cosineDist(e1, e2) < Threshold
 
   /** Classification accuracy of an arbitrary embedder over labeled pairs. */
-  def accuracy(
-      embed: Seq[(String, String)] => Array[Double],
-      pairs: Seq[FtPair],
-      threshold: Double = Threshold,
-  ): Double = {
+  def accuracy(embed: Seq[(String, String)] => Array[Double], pairs: Seq[FtPair]): Double = {
     require(pairs.nonEmpty, "empty evaluation set")
     val correct = pairs.count { p =>
-      predictUnionable(embed(p.t1), embed(p.t2), threshold) == (p.label == 1)
+      predictUnionable(embed(p.t1), embed(p.t2)) == (p.label == 1)
     }
     correct.toDouble / pairs.size
   }

@@ -20,7 +20,9 @@ object OuterUnion {
       values: Vector[Option[String]],
   )
 
-  /** Outer-union `tables` against the query using `aligned`. */
+  /** Outer-union `tables` against the query using `aligned`. Tuple ids are
+    * positions in the returned vector.
+    */
   def union(query: SimpleTable, tables: Seq[SimpleTable], aligned: ColumnAlignment.Aligned): Vector[UnionTuple] = {
     val lookup = aligned.lookup // queryColIdx -> table -> lake colIdx
     val queryCols = query.cols.indices.toVector

@@ -5,15 +5,16 @@ import repro.util.{Rng, VecOps}
 
 /** GNE — Greedy randomized with Neighborhood Expansion (Vieira et al. [51]).
   *
-  * GRASP over the max-sum objective: `iterations` rounds of (a) randomized
-  * greedy construction — each step picks uniformly among the top-`rcl`
-  * candidates by GMC score — and (b) local search that tries swapping
+  * GRASP over the max-sum objective (λ = 0.5): `iterations` rounds of (a)
+  * randomized greedy construction — each step picks uniformly among the top
+  * 3 candidates by GMC score — and (b) local search that tries swapping
   * selected items with outsiders while the set score improves. Keeps the
   * best set seen. Deliberately expensive (the paper's slowest baseline).
   */
-final case class Gne(lambda: Double = 0.5, iterations: Int = 10, rcl: Int = 3,
-                     swapTries: Int = 200, seed: Long = 5150) extends DivAlgo {
+final case class Gne(iterations: Int = 10, swapTries: Int = 200, seed: Long = 5150) extends DivAlgo {
   val name = "GNE"
+  private val lambda = 0.5
+  private val rcl = 3 // restricted candidate list size
 
   def select(cands: Vector[EmbTuple], query: Vector[Array[Double]], k: Int): Vector[EmbTuple] = {
     if (cands.isEmpty) return Vector.empty

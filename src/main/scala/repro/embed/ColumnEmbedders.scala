@@ -82,8 +82,10 @@ final case class ColumnLevelEmbedder(lm: HashLm) extends ColumnEmbedder {
   * the pollution is non-uniform — which is what breaks both bipartite
   * matching and holistic clustering on Starmie embeddings in Table 1.
   */
-final case class StarmieEmbedder(beta: Double = 0.6) extends ColumnEmbedder {
+final case class StarmieEmbedder() extends ColumnEmbedder {
   val name = "Starmie"
+  /** Weight of the sibling-column mixture in each contextualized column. */
+  private val beta = 0.6
   private val inner = ColumnLevelEmbedder(HashLm.starmieBase)
 
   def embedAll(tables: Seq[SimpleTable], tfidf: TfIdf): Vector[Vector[Array[Double]]] =

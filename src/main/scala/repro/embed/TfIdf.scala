@@ -49,17 +49,17 @@ final class TfIdf(idf: Map[String, Double], nDocs: Int) {
   def idfOf(token: String): Double =
     idf.getOrElse(token, math.log(1.0 + nDocs.toDouble))
 
-  /** Top-`limit` (token, tf·idf weight) pairs of a column, weight-descending.
-    * Ties broken lexicographically so selection is deterministic.
+  /** Top-[[TfIdf.TokenLimit]] (token, tf·idf weight) pairs of a column,
+    * weight-descending; ties broken lexicographically for determinism.
     */
-  def topTokens(values: Seq[String], limit: Int = TfIdf.TokenLimit): Vector[(String, Double)] = {
+  def topTokens(values: Seq[String]): Vector[(String, Double)] = {
     val toks = Tokenizer.columnTokens(values)
     if (toks.isEmpty) return Vector.empty
     val tf = toks.groupBy(identity).view.mapValues(_.size.toDouble / toks.size).toMap
     tf.map { case (t, f) => (t, f * idfOf(t)) }
       .toVector
       .sortBy { case (t, w) => (-w, t) }
-      .take(limit)
+      .take(TfIdf.TokenLimit)
   }
 }
 

@@ -1,6 +1,6 @@
 package repro.exp
 
-import repro.core.{ColumnAlignment, Dust, OuterUnion}
+import repro.core.{Dust, OuterUnion}
 import repro.data.{Generators, LakeBenchmark, SimpleTable}
 import repro.embed.{ColumnEmbedders, TfIdf}
 import repro.search.{D3L, UnionSearch}
@@ -21,50 +21,43 @@ object CaseStudyExperiment {
     tuples.flatMap(_.values(colIdx)).toSet.diff(existing).size
   }
 
-  /** Bag-union tables in rank order until >= k tuples, take first k
-    * (SQL LIMIT k); optionally dedup against query+earlier tuples first.
+  /** The case study's query columns. */
+  private val Columns: Seq[String] = Seq("title", "language", "filming_locations")
+
+  /** Set-union semantics (§6.6): duplicates among the retrieved tuples are
+    * removed, but tuples that happen to replicate query rows stay — they
+    * simply add no novel values.
     */
-  private def takeK(query: SimpleTable, ranked: Seq[SimpleTable],
-                    aligned: ColumnAlignment.Aligned, k: Int,
-                    dedup: Boolean): Vector[OuterUnion.UnionTuple] = {
-    val all = OuterUnion.union(query, ranked, aligned)
-    if (!dedup) all.take(k)
-    else {
-      // Set-union semantics (§6.6): duplicates among the retrieved tuples
-      // are removed, but tuples that happen to replicate query rows stay —
-      // they simply add no novel values.
-      val seen = scala.collection.mutable.HashSet.empty[Vector[Option[String]]]
-      all.filter(t => seen.add(t.values)).take(k)
-    }
+  private def dedup(tuples: Vector[OuterUnion.UnionTuple]): Vector[OuterUnion.UnionTuple] = {
+    val seen = scala.collection.mutable.HashSet.empty[Vector[Option[String]]]
+    tuples.filter(t => seen.add(t.values))
   }
 
-  def run(ks: Seq[Int], columns: Seq[String] = Seq("title", "language", "filming_locations")): Vector[Row] = {
+  def run(ks: Seq[Int]): Vector[Row] = {
     val (query, lake) = Generators.imdbLite
     val bench = LakeBenchmark("IMDB-lite", Vector(query), lake)
     val tfidf = TfIdf.fit(lake :+ query)
-    val model = Models.dustRoberta
-    val embedder = ColumnEmbedders.dustDefault
 
-    val starmieRank = UnionSearch.rankTables(query, bench, embedder, tfidf).map(_.table)
-    val d3lRank = D3L.rankTables(query, bench, tfidf).map(_.table)
-    // One alignment over the full (unionable-only) lake serves all methods.
-    val aligned = ColumnAlignment.alignHolistic(query, lake, embedder, tfidf)
-    val colIdx = columns.map(c => c -> query.cols.indexWhere(_.header == c)).toMap
+    // One prepared union over the full (unionable-only) lake: its alignment
+    // serves the baselines, its embeddings DUST's selection at every k.
+    val prepared = Dust.prepare(query, lake, Models.dustRoberta, tfidf)
+    // Each baseline bag-unions its ranking in rank order (SQL LIMIT k takes a prefix).
+    val baselines = Vector(
+      "D3L" -> D3L.rankTables(query, bench, tfidf),
+      "Starmie" -> UnionSearch.rankTables(query, bench, ColumnEmbedders.dustDefault, tfidf),
+    ).flatMap { case (m, ranked) =>
+      val all = OuterUnion.union(query, ranked.map(_.table), prepared.aligned)
+      Vector(m -> all, s"$m-D" -> dedup(all))
+    }
+    val colIdx = Columns.map(c => c -> query.cols.indexWhere(_.header == c)).toMap
     require(colIdx.values.forall(_ >= 0), s"missing case-study columns in ${query.name}")
 
     ks.toVector.flatMap { k =>
-      val dust = Dust.run(query, bench, model, Dust.Config(topN = lake.size, k = k),
-                          Some(tfidf), tablesOverride = Some(lake))
-      val methodTuples: Vector[(String, Vector[OuterUnion.UnionTuple])] = Vector(
-        "D3L" -> takeK(query, d3lRank, aligned, k, dedup = false),
-        "D3L-D" -> takeK(query, d3lRank, aligned, k, dedup = true),
-        "Starmie" -> takeK(query, starmieRank, aligned, k, dedup = false),
-        "Starmie-D" -> takeK(query, starmieRank, aligned, k, dedup = true),
-        "DUST" -> dust.selected,
-      )
+      val methodTuples = baselines.map { case (m, all) => m -> all.take(k) } :+
+        ("DUST" -> Dust.diversify(prepared, Dust.Config(k = k)).selected)
       for {
         (m, tuples) <- methodTuples
-        c <- columns
+        c <- Columns
       } yield Row(m, k, c, novelCount(query, colIdx(c), tuples))
     }
   }

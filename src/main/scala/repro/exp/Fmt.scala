@@ -12,7 +12,6 @@ object Fmt {
   }
 
   def f2(x: Double): String = f"$x%.2f"
-  def ms(nanos: Long): String = f"${nanos / 1e6}%.1f"
 
   /** Time a thunk; returns (result, elapsed nanos). */
   def timed[A](body: => A): (A, Long) = {

@@ -11,21 +11,23 @@ import repro.util.{Rng, VecOps}
   */
 object ScalingExperiment {
 
-  /** Synthetic cloud: `nClusters` Gaussian blobs in `dim` dimensions —
-    * mimics the topical structure of unionable-tuple embeddings.
+  private val Dim = 32 // dimension of the synthetic embeddings
+
+  /** Synthetic cloud: 12 Gaussian blobs in [[Dim]] dimensions — mimics the
+    * topical structure of unionable-tuple embeddings.
     */
-  def cloud(n: Int, dim: Int = 32, nClusters: Int = 12, seed: Long = 33): Vector[EmbTuple] = {
-    val rng = new Rng(seed)
-    val centers = Vector.fill(nClusters)(Array.fill(dim)(rng.nextGaussian()))
+  def cloud(n: Int): Vector[EmbTuple] = {
+    val rng = new Rng(33)
+    val centers = Vector.fill(12)(Array.fill(Dim)(rng.nextGaussian()))
     (0 until n).toVector.map { i =>
-      val c = centers(rng.nextInt(nClusters))
+      val c = centers(rng.nextInt(centers.size))
       EmbTuple(i.toLong, s"tab${i % 10}", c.map(_ + 0.35 * rng.nextGaussian()))
     }
   }
 
-  def queryCloud(n: Int, dim: Int = 32, seed: Long = 44): Vector[Array[Double]] = {
-    val rng = new Rng(seed)
-    Vector.fill(n)(Array.fill(dim)(rng.nextGaussian()))
+  def queryCloud(n: Int): Vector[Array[Double]] = {
+    val rng = new Rng(44)
+    Vector.fill(n)(Array.fill(Dim)(rng.nextGaussian()))
   }
 
   final case class TimingRow(method: String, s: Int, k: Int, millis: Double)

@@ -1,9 +1,8 @@
 package repro.exp
 
-import repro.core.{ColumnAlignment, DiversifyTuples, DiversityMetrics, Dust, OuterUnion}
+import repro.core.{DiversifyTuples, DiversityMetrics, Dust}
 import repro.data.LakeBenchmark
 import repro.divbase._
-import repro.embed.ColumnEmbedders
 
 /** Table 2 — tuple diversification effectiveness and efficiency (§6.4):
   * for each query, each algorithm diversifies the same pruned candidate set
@@ -23,8 +22,8 @@ object Table2Experiment {
                                  cands: Vector[DiversifyTuples.EmbTuple],
                                  queryEmb: Vector[Array[Double]])
 
-  /** Build instances: ground-truth unionable tables → holistic alignment →
-    * outer union → DUST embeddings → uniform pruning.
+  /** Build instances: [[Dust.prepare]] over the ground-truth unionable
+    * tables (alignment → outer union → DUST embeddings), then uniform pruning.
     */
   def instances(bench: LakeBenchmark, s: Int = Benchmarks.pruneS): Vector[QueryInstance] = {
     val tfidf = Benchmarks.tfidfFor(bench)
@@ -33,11 +32,8 @@ object Table2Experiment {
       val tables = bench.unionableFor(q)
       if (tables.isEmpty) None
       else {
-        val aligned = ColumnAlignment.alignHolistic(q, tables, ColumnEmbedders.dustDefault, tfidf)
-        val lakeTuples = OuterUnion.union(q, tables, aligned)
-        val lakeEmb = Dust.embedTuples(model, lakeTuples)
-        val queryEmb = Dust.embed(model, OuterUnion.queryTuples(q))
-        Some(QueryInstance(q.name, DiversifyTuples.prune(lakeEmb, s), queryEmb))
+        val u = Dust.prepare(q, tables, model, tfidf)
+        Some(QueryInstance(q.name, DiversifyTuples.prune(u.lakeEmb, s), u.queryEmb))
       }
     }
   }

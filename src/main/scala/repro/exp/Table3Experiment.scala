@@ -25,28 +25,25 @@ object Table3Experiment {
       val gtTables = bench.unionableFor(q)
       if (gtTables.isEmpty) None
       else {
-        // Shared substrate: alignment over ground-truth unionable tables.
+        // The ground-truth union, unembedded: Starmie's tuple index.
         val aligned = ColumnAlignment.alignHolistic(q, gtTables, ColumnEmbedders.dustDefault, tfidf)
         val lakeTuples = OuterUnion.union(q, gtTables, aligned)
-        val queryTuples = OuterUnion.queryTuples(q)
-        val queryEmb = Dust.embed(model, queryTuples)
         val kk = math.min(k, math.max(1, lakeTuples.size - 1))
-
-        // Starmie as a tuple index: most-similar k tuples.
-        val starmieSel = Dust.embed(model, TupleSearch.topK(lakeTuples, queryTuples, kk))
 
         // DUST end-to-end over its own searched tables.
         val dust = Dust.run(q, bench, model, Dust.Config(topN = gtTables.size, k = kk),
                             tfidfOpt = Some(tfidf))
-        val dustSel = Dust.embed(model, dust.selected)
+
+        // Starmie as a tuple index: most-similar k tuples.
+        val starmieSel = Dust.embed(model, TupleSearch.topK(lakeTuples, dust.queryTuples, kk))
 
         // The LLM declines queries over its prompt budget (SANTOS's "-").
         val llmSel = LlmSim.generate(q, kk).map(_.map(g => model.embed(g.pairs)))
 
         val perMethod =
-          Vector("Starmie" -> starmieSel, "DUST" -> dustSel) ++ llmSel.map(s => "LLM" -> s).toVector
+          Vector("Starmie" -> starmieSel, "DUST" -> dust.selectedEmb) ++ llmSel.map(s => "LLM" -> s).toVector
         val scored = perMethod.map { case (m, sel) =>
-          DiversityWins.Scored(m, DiversityMetrics.diversity(queryEmb, sel))
+          DiversityWins.Scored(m, DiversityMetrics.diversity(dust.queryEmb, sel))
         }
         val ap = UnionSearch.averagePrecision(q,
           UnionSearch.rankTables(q, bench, ColumnEmbedders.dustDefault, tfidf).map(_.table))

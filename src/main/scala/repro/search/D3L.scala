@@ -72,7 +72,4 @@ object D3L {
       .map(t => UnionSearch.Scored(t, tableScore(query, t, tfidf)))
       .sortBy(s => (-s.score, s.table.name))
   }
-
-  def searchTables(query: SimpleTable, bench: LakeBenchmark, topN: Int, tfidf: TfIdf): Vector[SimpleTable] =
-    rankTables(query, bench, tfidf).take(topN).map(_.table)
 }

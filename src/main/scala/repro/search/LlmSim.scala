@@ -21,10 +21,9 @@ object LlmSim {
   /** Generate k tuples "unionable with" the query. Returns None when the
     * query exceeds the prompt budget (the paper's "-" cells).
     */
-  def generate(query: SimpleTable, k: Int, seed: Long = 1234,
-               noveltyBudget: Int = 12): Option[Vector[GeneratedTuple]] = {
+  def generate(query: SimpleTable, k: Int, noveltyBudget: Int = 12): Option[Vector[GeneratedTuple]] = {
     if (query.nRows > MaxPromptTuples) return None
-    val rng = new Rng(Rng.mix(seed, Rng.hashString(query.name)))
+    val rng = new Rng(Rng.mix(1234, Rng.hashString(query.name)))
     val seen = query.rows.flatMap(_.flatten).toSet
     val out = Vector.newBuilder[GeneratedTuple]
     val produced = scala.collection.mutable.ArrayBuffer.empty[GeneratedTuple]

@@ -83,6 +83,22 @@ class DustPipelineSpec extends SparkSpec {
     assert(r.tables == gt)
   }
 
+  test("both engines reject a query with no rows") {
+    val empty = q.copy(rows = Vector.empty, baseRowIds = Vector.empty)
+    val tfidf = Some(Benchmarks.tfidfFor(bench))
+    intercept[IllegalArgumentException](Dust.run(empty, bench, model, cfg, tfidfOpt = tfidf))
+    intercept[IllegalArgumentException](Dust.runSpark(spark, empty, bench, model, cfg, tfidfOpt = tfidf))
+  }
+
+  test("Config rejects topN, k, p or s below 1") {
+    intercept[IllegalArgumentException](Dust.Config(topN = 0))
+    intercept[IllegalArgumentException](Dust.Config(k = 0))
+    intercept[IllegalArgumentException](Dust.Config(p = 0))
+    intercept[IllegalArgumentException](Dust.Config(s = 0))
+    intercept[IllegalArgumentException](Dust.Config(s = -1))
+    assert(Dust.Config(topN = 1, k = 1, p = 1, s = 1).s == 1)
+  }
+
   test("embedTuples yields one embedding per tuple with stable ids") {
     val embs = Dust.embedTuples(model, result.lakeTuples.take(10))
     assert(embs.map(_.id) == result.lakeTuples.take(10).map(_.id))

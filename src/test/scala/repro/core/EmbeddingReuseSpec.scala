@@ -21,6 +21,9 @@ class EmbeddingReuseSpec extends SparkSpec {
   private def sameVectors(a: Seq[Array[Double]], b: Seq[Array[Double]]): Boolean =
     a.size == b.size && a.zip(b).forall { case (x, y) => Arrays.equals(x, y) }
 
+  private def bits(vs: Seq[Array[Double]]): Seq[Seq[Long]] =
+    vs.map(_.toSeq.map(java.lang.Double.doubleToRawLongBits))
+
   test("indexed column embeddings equal a direct embedAll for every Table 1 embedder and table") {
     benches.foreach { case (b, _) =>
       val tables = b.lake ++ b.queries
@@ -47,6 +50,18 @@ class EmbeddingReuseSpec extends SparkSpec {
         assert(warm.selected.map(_.id) == cold.selected.map(_.id), s"${b.name}/${q.name}")
         assert(warm.tables.map(_.name) == cold.tables.map(_.name), s"${b.name}/${q.name}")
         assert(sameVectors(warm.queryEmb, cold.queryEmb), s"${b.name}/${q.name}")
+      }
+    }
+  }
+
+  test("a Dust.Result's query and selected vectors equal Dust.embed of its tuples, bit for bit") {
+    benches.foreach { case (b, cfg) =>
+      val tfidf = fit(b)
+      b.queries.foreach { q =>
+        val r = Dust.run(q, b, model, cfg, tfidfOpt = Some(tfidf))
+        assert(r.selected.nonEmpty, s"${b.name}/${q.name}")
+        assert(bits(r.selectedEmb) == bits(Dust.embed(model, r.selected)), s"${b.name}/${q.name}")
+        assert(bits(r.queryEmb) == bits(Dust.embed(model, r.queryTuples)), s"${b.name}/${q.name}")
       }
     }
   }

@@ -22,7 +22,7 @@ class TfIdfSpec extends SparkSpec {
 
   test("topTokens respects the limit") {
     val values = (0 until 2000).map(i => s"tok$i")
-    assert(tfidf.topTokens(values, limit = 512).size == 512)
+    assert(tfidf.topTokens(values).size == 512)
   }
 
   test("topTokens of empty column is empty") {

@@ -1,6 +1,9 @@
 package repro.exp
 
 import repro.SparkSpec
+import repro.core.{ColumnAlignment, DiversifyTuples, Dust, OuterUnion}
+import repro.data.{Generators, LakeBenchmark}
+import repro.embed.{ColumnEmbedders, TfIdf}
 
 /** Smoke tests for the experiment harnesses (full runs live in bench/). */
 class ExperimentHarnessSpec extends SparkSpec {
@@ -32,6 +35,41 @@ class ExperimentHarnessSpec extends SparkSpec {
       assert(i.cands.size <= 50)
       assert(i.queryEmb.nonEmpty)
       assert(i.cands.map(_.id).distinct.size == i.cands.size)
+    }
+  }
+
+  private def bits(v: Array[Double]): Seq[Long] = v.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  test("Table2 instances equal alignment, outer union, embedding and pruning composed one by one") {
+    val bench = Benchmarks.ugen
+    val tfidf = Benchmarks.tfidfFor(bench)
+    val model = Models.dustRoberta
+    val expected = bench.queries.filter(bench.unionableFor(_).nonEmpty).map { q =>
+      val tables = bench.unionableFor(q)
+      val aligned = ColumnAlignment.alignHolistic(q, tables, ColumnEmbedders.dustDefault, tfidf)
+      val lakeEmb = Dust.embedTuples(model, OuterUnion.union(q, tables, aligned))
+      (q.name, DiversifyTuples.prune(lakeEmb, 50), Dust.embed(model, OuterUnion.queryTuples(q)))
+    }
+    val insts = Table2Experiment.instances(bench, s = 50)
+    assert(insts.map(_.name) == expected.map(_._1))
+    insts.zip(expected).foreach { case (inst, (_, cands, queryEmb)) =>
+      assert(inst.cands.map(c => (c.id, c.table, bits(c.vec))) == cands.map(c => (c.id, c.table, bits(c.vec))),
+        inst.name)
+      assert(inst.queryEmb.map(bits) == queryEmb.map(bits), inst.name)
+    }
+  }
+
+  test("Fig 8: Algorithm 2 on one prepared IMDB-lite union selects what Dust.run selects at every k") {
+    val (query, lake) = Generators.imdbLite
+    val bench = LakeBenchmark("IMDB-lite", Vector(query), lake)
+    val tfidf = TfIdf.fit(lake :+ query)
+    val model = Models.dustRoberta
+    val prepared = Dust.prepare(query, lake, model, tfidf)
+    Seq(20, 40, 60).foreach { k =>
+      val cfg = Dust.Config(topN = lake.size, k = k)
+      val full = Dust.run(query, bench, model, cfg, Some(tfidf), Some(lake))
+      assert(full.selected.size == k)
+      assert(Dust.diversify(prepared, cfg).selected.map(_.id) == full.selected.map(_.id), s"k=$k")
     }
   }
 

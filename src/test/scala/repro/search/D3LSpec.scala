@@ -48,8 +48,4 @@ class D3LSpec extends SparkSpec {
   test("top result is unionable with the query") {
     assert(D3L.rankTables(q, bench, tfidf).head.table.baseId == q.baseId)
   }
-
-  test("searchTables truncates to topN") {
-    assert(D3L.searchTables(q, bench, 4, tfidf).size == 4)
-  }
 }
