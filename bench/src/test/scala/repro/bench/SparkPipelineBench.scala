@@ -3,12 +3,12 @@ package repro.bench
 import java.nio.file.Files
 import repro.SparkSpec
 import repro.core.Dust
-import repro.data.LakeIO
+import repro.data.{LakeBenchmark, LakeIO}
 import repro.exp.{Benchmarks, Models}
 
-/** Deployment-path bench: the full DUST pipeline with the lake persisted in
-  * Parquet and the prune/re-rank stages executed as Spark dataflows, checked
-  * equal to the driver-side algorithmic core.
+/** Deployment-path bench: the full DUST pipeline over a lake read back from
+  * Parquet, with the prune/re-rank stages executed as Spark dataflows,
+  * checked equal to the driver-side algorithmic core on the in-memory lake.
   */
 class SparkPipelineBench extends SparkSpec {
 
@@ -27,11 +27,11 @@ class SparkPipelineBench extends SparkSpec {
     val tfidf = Some(Benchmarks.tfidfFor(bench))
     val (driver, dNs) = repro.exp.Fmt.timed(
       Dust.run(q, bench, Models.dustRoberta, cfg, tfidfOpt = tfidf))
-    val (viaSpark, sNs) = repro.exp.Fmt.timed(
-      Dust.runSpark(spark, q, bench, Models.dustRoberta, cfg, tfidfOpt = tfidf))
+    val (viaSpark, sNs) = repro.exp.Fmt.timed(Dust.runSpark(
+      spark, q, LakeBenchmark(bench.name, bench.queries, lakeBack), Models.dustRoberta, cfg, tfidfOpt = tfidf))
     println(f"driver pipeline ${dNs / 1e6}%.0f ms, spark pipeline ${sNs / 1e6}%.0f ms")
     assert(viaSpark.selected.map(_.id) == driver.selected.map(_.id),
-      "Spark dataflow and driver core must select identical tuples")
+      "Spark dataflow on the Parquet lake and driver core on the in-memory lake must select identical tuples")
     assert(driver.selected.size == cfg.k)
   }
 }

@@ -3,9 +3,9 @@ package repro.cluster
 import repro.util.Par
 
 /** Agglomerative hierarchical clustering with average linkage (UPGMA),
-  * built with the nearest-neighbour-chain algorithm: O(n²) time, O(n²)
-  * memory on a full distance matrix. UPGMA is reducible, so NN-chain yields
-  * the exact dendrogram; heights are monotone, so cutting at k clusters is
+  * built with the nearest-neighbour-chain algorithm: O(n²) time, O(n²) memory
+  * on one half-size distance store ([[Hac.Dist]]). UPGMA is reducible, so
+  * NN-chain yields the exact dendrogram; heights are monotone, so cutting at k clusters is
   * "apply the n−k lowest merges".
   *
   * This is the clustering engine behind DUST's tuple diversification
@@ -66,23 +66,32 @@ object Hac {
     }
   }
 
-  /** Symmetric distance matrix of a point set: `d(i)(j) = d(j)(i) =
-    * dist(points(i), points(j))` for i < j, zero diagonal. Rows are computed
-    * in parallel, so `dist` must be safe to call concurrently.
+  /** Symmetric distances among `n` points with a zero diagonal, each pair
+    * stored once: the strict upper triangle, row by row, in one flat array
+    * of n(n−1)/2 doubles. Row i's entry for column j > i is `tri(base(i) + j)`.
     */
-  def distMatrix[A](points: IndexedSeq[A], dist: (A, A) => Double): Array[Array[Double]] = {
-    val n = points.length
-    val d = Par.tabulate(n) { i =>
-      val row = new Array[Double](n)
+  final class Dist private[cluster] (val n: Int) {
+    require(n.toLong * (n - 1) / 2 <= Int.MaxValue - 8, s"$n points have too many pairs for one array")
+    private[cluster] val tri = new Array[Double]((n.toLong * (n - 1) / 2).toInt)
+    private[cluster] val base: Array[Int] = Array.tabulate(n)(i => (i.toLong * (2L * n - i - 1) / 2 - i - 1).toInt)
+
+    /** Slot in `tri` of the pair (i, j), i ≠ j, in either order. */
+    private[cluster] def at(i: Int, j: Int): Int = if (i < j) base(i) + j else base(j) + i
+
+    /** The distance between points i and j; d(i, j) = d(j, i) and d(i, i) = 0. */
+    def apply(i: Int, j: Int): Double = if (i == j) 0.0 else tri(at(i, j))
+  }
+
+  /** Pairwise distances of a point set: `d(i, j) = dist(points(i), points(j))`
+    * for i < j. Rows are computed in parallel, so `dist` must be safe to call
+    * concurrently.
+    */
+  def distMatrix[A](points: IndexedSeq[A], dist: (A, A) => Double): Dist = {
+    val d = new Dist(points.length)
+    Par.foreach(d.n) { i =>
+      val row = d.base(i)
       var j = i + 1
-      while (j < n) { row(j) = dist(points(i), points(j)); j += 1 }
-      row
-    }
-    var i = 0
-    while (i < n) {
-      var j = i + 1
-      while (j < n) { d(j)(i) = d(i)(j); j += 1 }
-      i += 1
+      while (j < d.n) { d.tri(row + j) = dist(points(i), points(j)); j += 1 }
     }
     d
   }
@@ -90,7 +99,7 @@ object Hac {
   /** UPGMA dendrogram via nearest-neighbour chain. `d0` is not modified.
     *
     * `group`, when non-empty, is each point's cannot-link group: two points
-    * of one group never share a cluster. The working copy of the matrix
+    * of one group never share a cluster. The working copy of the distances
     * holds +∞ for every same-group pair. The UPGMA update is a size-weighted
     * mean, so a cluster pair is at +∞ exactly when it holds a same-group
     * pair, and d(I∪J, K) ≥ min(d(I, K), d(J, K)) still holds: NN-chain stays
@@ -98,18 +107,12 @@ object Hac {
     * can never merge again and leaves the chain, so the result is a forest
     * of `minK` trees.
     */
-  def upgma(d0: Array[Array[Double]], group: Array[Int] = Array.emptyIntArray): Dendrogram = {
-    val n = d0.length
+  def upgma(d0: Dist, group: Array[Int] = Array.emptyIntArray): Dendrogram = {
+    val n = d0.n
     require(group.isEmpty || group.length == n, "group arity mismatch")
-    val d = d0.map(_.clone())
-    if (group.nonEmpty) {
-      var i = 0
-      while (i < n) {
-        var j = 0
-        while (j < n) { if (i != j && group(i) == group(j)) d(i)(j) = Double.PositiveInfinity; j += 1 }
-        i += 1
-      }
-    }
+    val d = d0.tri.clone()
+    val base = d0.base
+    for (i <- group.indices; j <- i + 1 until n if group(i) == group(j)) d(base(i) + j) = Double.PositiveInfinity
     val active = Array.fill(n)(true)
     var live = n
     val size = Array.fill(n)(1)
@@ -119,14 +122,16 @@ object Hac {
     val chain = new Array[Int](n + 1)
     var chainLen = 0
 
-    /** Nearest active slot at finite distance, or -1. */
+    /** Nearest active slot at finite distance, or -1: column s of the rows
+      * above s, then row s, so no read branches on the order of the pair.
+      */
     def nearest(s: Int): Int = {
       var best = -1; var bd = Double.PositiveInfinity
       var t = 0
-      while (t < n) {
-        if (active(t) && t != s && d(s)(t) < bd) { bd = d(s)(t); best = t }
-        t += 1
-      }
+      while (t < s) { if (active(t)) { val v = d(base(t) + s); if (v < bd) { bd = v; best = t } }; t += 1 }
+      val row = base(s)
+      t = s + 1
+      while (t < n) { if (active(t)) { val v = d(row + t); if (v < bd) { bd = v; best = t } }; t += 1 }
       best
     }
 
@@ -145,12 +150,12 @@ object Hac {
       } else if (chainLen >= 2 && nn == chain(chainLen - 2)) {
         // Reciprocal nearest neighbours: merge top into nn's slot (keep top).
         val i = top; val j = nn
-        merges += Merge(cid(i), cid(j), d(i)(j))
+        merges += Merge(cid(i), cid(j), d(d0.at(i, j)))
         var s = 0
         while (s < n) {
           if (active(s) && s != i && s != j) {
-            val v = (size(i) * d(i)(s) + size(j) * d(j)(s)) / (size(i) + size(j))
-            d(i)(s) = v; d(s)(i) = v
+            val is = d0.at(i, s)
+            d(is) = (size(i) * d(is) + size(j) * d(d0.at(j, s))) / (size(i) + size(j))
           }
           s += 1
         }

@@ -47,7 +47,7 @@ object DiversifyTuples {
   }
 
   /** §5.2 — cluster into `nClusters` and return each cluster's medoid. One
-    * distance matrix serves both the UPGMA cut and the medoids.
+    * distance store serves both the UPGMA cut and the medoids.
     */
   def clusterMedoids(cands: Vector[EmbTuple], nClusters: Int): Vector[EmbTuple] = {
     if (cands.isEmpty) return cands
@@ -58,25 +58,9 @@ object DiversifyTuples {
       .groupBy(labels(_))
       .toVector
       .sortBy(_._1)
-      .map { case (_, members) => cands(members(medoidOf(members, d))) }
-  }
-
-  /** Position in `members` of the member with the least summed distance to
-    * the others, read from `d`. Sums run in member order and ties keep the
-    * first, as in [[VecOps.medoidIndex]]; `cosineDist` is bitwise symmetric,
-    * so each entry equals the distance `medoidIndex` would compute.
-    */
-  private def medoidOf(members: IndexedSeq[Int], d: Array[Array[Double]]): Int = {
-    var best = 0; var bestSum = Double.MaxValue
-    var i = 0
-    while (i < members.length) {
-      val row = d(members(i))
-      var s = 0.0; var j = 0
-      while (j < members.length) { if (i != j) s += row(members(j)); j += 1 }
-      if (s < bestSum) { bestSum = s; best = i }
-      i += 1
-    }
-    best
+      .map { case (_, members) =>
+        cands(members(VecOps.medoidIndex(members.length)((i, j) => d(members(i), members(j)))))
+      }
   }
 
   /** §5.3 — rank by (min distance to query desc, avg distance desc, id asc). */
@@ -99,8 +83,7 @@ object DiversifyTuples {
   }
 
   /** Full Algorithm 2 on the driver. */
-  def run(tuples: Vector[EmbTuple], query: Seq[Array[Double]], k: Int,
-          p: Int = 2, s: Int = 2500): Vector[EmbTuple] = {
+  def run(tuples: Vector[EmbTuple], query: Seq[Array[Double]], k: Int, p: Int, s: Int): Vector[EmbTuple] = {
     val pruned = prune(tuples, s)
     val cands = clusterMedoids(pruned, k * p)
     rerank(cands, query, k)

@@ -4,7 +4,7 @@ package repro.data
   *
   * Tables are small (lite-scale benchmarks), so they are held as plain
   * row-major string matrices; [[LakeIO]] round-trips them through Parquet
-  * (long format) so the pipeline exercises a Spark-backed lake.
+  * (long format), and the Spark pipeline bench runs DUST on that read-back lake.
   */
 
 /** A column of a lake/query table.

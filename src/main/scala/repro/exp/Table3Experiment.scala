@@ -30,9 +30,10 @@ object Table3Experiment {
         val lakeTuples = OuterUnion.union(q, gtTables, aligned)
         val kk = math.min(k, math.max(1, lakeTuples.size - 1))
 
-        // DUST end-to-end over its own searched tables.
+        // DUST end-to-end over the top |gt| of one lake ranking, which also gives MAP.
+        val ranked = UnionSearch.rankTables(q, bench, ColumnEmbedders.dustDefault, tfidf)
         val dust = Dust.run(q, bench, model, Dust.Config(topN = gtTables.size, k = kk),
-                            tfidfOpt = Some(tfidf))
+                            tfidfOpt = Some(tfidf), tablesOverride = Some(ranked.take(gtTables.size).map(_.table)))
 
         // Starmie as a tuple index: most-similar k tuples.
         val starmieSel = Dust.embed(model, TupleSearch.topK(lakeTuples, dust.queryTuples, kk))
@@ -45,8 +46,7 @@ object Table3Experiment {
         val scored = perMethod.map { case (m, sel) =>
           DiversityWins.Scored(m, DiversityMetrics.diversity(dust.queryEmb, sel))
         }
-        val ap = UnionSearch.averagePrecision(q,
-          UnionSearch.rankTables(q, bench, ColumnEmbedders.dustDefault, tfidf).map(_.table))
+        val ap = UnionSearch.averagePrecision(q, ranked.map(_.table))
         Some((scored, ap))
       }
     }

@@ -15,7 +15,11 @@ object Par {
     */
   def tabulate[A: ClassTag](n: Int)(f: Int => A): Array[A] = {
     val out = new Array[A](n)
-    java.util.stream.IntStream.range(0, n).parallel().forEach(i => out(i) = f(i))
+    foreach(n)(i => out(i) = f(i))
     out
   }
+
+  /** [[tabulate]] for an `f` that stores its own result: the same conditions hold. */
+  def foreach(n: Int)(f: Int => Unit): Unit =
+    java.util.stream.IntStream.range(0, n).parallel().forEach(i => f(i))
 }

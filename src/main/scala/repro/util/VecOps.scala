@@ -69,17 +69,23 @@ object VecOps {
     acc
   }
 
-  /** Index of the medoid: element minimizing summed distance to the others. */
-  def medoidIndex(vs: IndexedSeq[Array[Double]], dist: (Array[Double], Array[Double]) => Double): Int = {
-    require(vs.nonEmpty, "medoid of empty set")
+  /** Index of the medoid of `n` elements: the one whose distances to the
+    * others, summed in index order, are least; ties keep the first.
+    */
+  def medoidIndex(n: Int)(dist: (Int, Int) => Double): Int = {
+    require(n > 0, "medoid of empty set")
     var best = 0; var bestSum = Double.MaxValue
     var i = 0
-    while (i < vs.length) {
+    while (i < n) {
       var s = 0.0; var j = 0
-      while (j < vs.length) { if (i != j) s += dist(vs(i), vs(j)); j += 1 }
+      while (j < n) { if (i != j) s += dist(i, j); j += 1 }
       if (s < bestSum) { bestSum = s; best = i }
       i += 1
     }
     best
   }
+
+  /** Index of the medoid of a vector set under `dist`. */
+  def medoidIndex(vs: IndexedSeq[Array[Double]], dist: (Array[Double], Array[Double]) => Double): Int =
+    medoidIndex(vs.length)((i, j) => dist(vs(i), vs(j)))
 }

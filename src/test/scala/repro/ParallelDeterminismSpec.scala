@@ -97,7 +97,9 @@ class ParallelDeterminismSpec extends SparkSpec {
         val v = VecOps.cosineDist(pts(i), pts(j)); reference(i)(j) = v; reference(j)(i) = v
       }
       onePoolAndEight(Hac.distMatrix(pts, VecOps.cosineDist)).foreach { case (p, d) =>
-        assert(sameBits(d.toSeq, reference.toSeq), s"n=$n pool($p)")
+        assert(d.n == n, s"n=$n pool($p)")
+        // Every d(i, j) and d(j, i) and the diagonal, read through the store.
+        assert((0 until n).forall(i => sameBits(Array.tabulate(n)(d(i, _)), reference(i))), s"n=$n pool($p)")
       }
     }
   }
@@ -111,9 +113,7 @@ class ParallelDeterminismSpec extends SparkSpec {
     val generic = (0 until 300).toVector.map(i => EmbTuple(i.toLong, s"t${i % 4}", Array.fill(8)(rng.nextGaussian())))
     for ((cands, nClusters) <- Seq((tieHeavy, 5), (tieHeavy, 12), (tieHeavy, 40), (generic, 60), (generic, 300))) {
       val vecs = cands.map(_.vec)
-      val d = Array.tabulate(vecs.size, vecs.size) { (i, j) =>
-        if (i == j) 0.0 else VecOps.cosineDist(vecs(math.min(i, j)), vecs(math.max(i, j)))
-      }
+      val d = inPool(1)(Hac.distMatrix(vecs, VecOps.cosineDist))
       val labels = Hac.upgma(d).cut(math.min(nClusters, cands.size))
       val reference = cands.indices.groupBy(labels(_)).toVector.sortBy(_._1).map { case (_, members) =>
         cands(members(VecOps.medoidIndex(members.map(vecs(_)), VecOps.cosineDist))).id

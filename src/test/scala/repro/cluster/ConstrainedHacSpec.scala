@@ -12,7 +12,7 @@ class ConstrainedHacSpec extends SparkSpec {
     Hac.distMatrix(pts.toIndexedSeq, VecOps.euclidean)
 
   /** (k, labels) for every cut the forest allows, from n down to minK. */
-  private def levels(d: Array[Array[Double]], group: Array[Int]): Vector[(Int, Array[Int])] = {
+  private def levels(d: Hac.Dist, group: Array[Int]): Vector[(Int, Array[Int])] = {
     val den = Hac.upgma(d, group)
     (den.n to math.max(1, den.minK) by -1).map(k => (k, den.cut(k))).toVector
   }
@@ -27,11 +27,11 @@ class ConstrainedHacSpec extends SparkSpec {
     * that share no group, average linkage read from `d` itself. The
     * partition after every merge, starting from all singletons.
     */
-  private def reference(d: Array[Array[Double]], group: Array[Int]): Vector[Vector[Int]] = {
-    val n = d.length
+  private def reference(d: Hac.Dist, group: Array[Int]): Vector[Vector[Int]] = {
+    val n = d.n
     var clusters = Vector.tabulate(n)(Vector(_))
     def linkage(a: Vector[Int], b: Vector[Int]): Double =
-      a.map(i => b.map(d(i)(_)).sum).sum / (a.size * b.size)
+      a.map(i => b.map(d(i, _)).sum).sum / (a.size * b.size)
     def compatible(a: Vector[Int], b: Vector[Int]): Boolean =
       a.forall(i => b.forall(j => group(i) != group(j)))
     def partition(): Vector[Int] = {
@@ -117,7 +117,7 @@ class ConstrainedHacSpec extends SparkSpec {
   }
 
   test("empty input yields empty result") {
-    val den = Hac.upgma(Array.empty, Array.empty)
+    val den = Hac.upgma(dm(Nil), Array.empty)
     assert(den.merges.isEmpty && den.minK == 0)
   }
 

@@ -15,13 +15,14 @@ class HacSpec extends SparkSpec {
   test("distMatrix is symmetric with zero diagonal") {
     val pts = IndexedSeq(Array(0.0), Array(1.0), Array(3.0))
     val d = Hac.distMatrix(pts, VecOps.euclidean)
-    assert(d(0)(0) == 0.0 && d(1)(1) == 0.0)
-    assert(d(0)(1) == d(1)(0) && d(0)(2) == d(2)(0))
+    assert(d(0, 0) == 0.0 && d(1, 1) == 0.0 && d(2, 2) == 0.0)
+    assert(d(0, 1) == d(1, 0) && d(0, 2) == d(2, 0) && d(1, 2) == d(2, 1))
+    assert(d(0, 1) == 1.0 && d(0, 2) == 3.0 && d(1, 2) == 2.0)
   }
 
   test("upgma on empty and singleton inputs") {
-    assert(Hac.upgma(Array.empty).merges.isEmpty)
-    assert(Hac.upgma(Array(Array(0.0))).merges.isEmpty)
+    assert(Hac.upgma(Hac.distMatrix(Vector.empty[Array[Double]], VecOps.euclidean)).merges.isEmpty)
+    assert(Hac.upgma(Hac.distMatrix(Vector(Array(0.0)), VecOps.euclidean)).merges.isEmpty)
   }
 
   test("upgma produces n-1 merges") {

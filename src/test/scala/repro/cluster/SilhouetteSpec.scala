@@ -45,7 +45,7 @@ class SilhouetteSpec extends SparkSpec {
   }
 
   /** Silhouette from the definition, with one explicit loop per cluster. */
-  private def reference(d: Array[Array[Double]], labels: Array[Int]): Double = {
+  private def reference(d: Hac.Dist, labels: Array[Int]): Double = {
     val clusters = labels.distinct.sorted
     if (clusters.length < 2) return -1.0
     var total = 0.0
@@ -54,12 +54,12 @@ class SilhouetteSpec extends SparkSpec {
       val ownSize = labels.count(_ == own)
       if (ownSize > 1) {
         var a = 0.0
-        for (j <- labels.indices if j != i && labels(j) == own) a += d(i)(j)
+        for (j <- labels.indices if j != i && labels(j) == own) a += d(i, j)
         a /= (ownSize - 1)
         var b = Double.MaxValue
         for (c <- clusters if c != own) {
           var sum = 0.0; var size = 0
-          for (j <- labels.indices if labels(j) == c) { sum += d(i)(j); size += 1 }
+          for (j <- labels.indices if labels(j) == c) { sum += d(i, j); size += 1 }
           b = math.min(b, sum / size)
         }
         val s = (b - a) / math.max(a, b)
@@ -104,12 +104,13 @@ class SilhouetteSpec extends SparkSpec {
   }
 
   test("bestCut rejects empty candidate list") {
-    intercept[IllegalArgumentException](Silhouette.bestCut(Array.empty, Hac.upgma(Array.empty), Nil))
+    val empty = dm(Nil)
+    intercept[IllegalArgumentException](Silhouette.bestCut(empty, Hac.upgma(empty), Nil))
   }
 
   test("bestCut prefers smaller k on ties") {
     // Four equidistant points: every cut with >= 2 clusters scores exactly 0.
-    val d = Array.tabulate(4, 4)((i, j) => if (i == j) 0.0 else 1.0)
+    val d = Hac.distMatrix(0 until 4, (_: Int, _: Int) => 1.0)
     val den = Hac.upgma(d)
     assert(Silhouette.score(d, den.cut(2)) == 0.0 && Silhouette.score(d, den.cut(3)) == 0.0)
     assert(Silhouette.bestCut(d, den, Seq(3, 2)) == 2)

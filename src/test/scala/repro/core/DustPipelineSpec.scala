@@ -2,8 +2,9 @@ package repro.core
 
 import repro.SparkSpec
 import repro.data.Generators
-import repro.embed.TfIdf
+import repro.embed.{ColumnEmbedders, TfIdf}
 import repro.exp.{Benchmarks, Models}
+import repro.search.UnionSearch
 
 /** End-to-end Algorithm 1 integration tests, including driver/Spark
   * pipeline equivalence.
@@ -81,6 +82,19 @@ class DustPipelineSpec extends SparkSpec {
     val r = Dust.run(q, bench, model, cfg.copy(topN = 99), tablesOverride = Some(gt),
       tfidfOpt = Some(Benchmarks.tfidfFor(bench)))
     assert(r.tables == gt)
+  }
+
+  test("the top of rankTables as tablesOverride selects what search selects (Table 3)") {
+    for (b <- Seq(Benchmarks.santos, Benchmarks.ugen); bq <- b.queries if b.unionableFor(bq).nonEmpty) {
+      val tfidf = Benchmarks.tfidfFor(b)
+      val c = Dust.Config(topN = b.unionableFor(bq).size, k = 10)
+      val ranked = UnionSearch.rankTables(bq, b, ColumnEmbedders.dustDefault, tfidf)
+      val searched = Dust.run(bq, b, model, c, tfidfOpt = Some(tfidf))
+      val overridden = Dust.run(bq, b, model, c, tfidfOpt = Some(tfidf),
+        tablesOverride = Some(ranked.take(c.topN).map(_.table)))
+      assert(overridden.tables == searched.tables, s"${b.name}/${bq.name}")
+      assert(overridden.selected.map(_.id) == searched.selected.map(_.id), s"${b.name}/${bq.name}")
+    }
   }
 
   test("both engines reject a query with no rows") {
