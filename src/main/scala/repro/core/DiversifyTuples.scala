@@ -37,13 +37,21 @@ object DiversifyTuples {
     */
   def prune(tuples: Vector[EmbTuple], s: Int): Vector[EmbTuple] = {
     if (tuples.size <= s) return tuples
-    val means: Map[String, Array[Double]] =
-      tuples.groupBy(_.table).view.mapValues(ts => VecOps.mean(ts.map(_.vec))).toMap
-    tuples
-      .map(t => (t, VecOps.cosineDist(means(t.table), t.vec)))
+    tuples.groupBy(_.table).valuesIterator
+      .flatMap(ts => ts.zip(tableScores(ts.map(_.vec))))
+      .toVector
       .sortBy { case (t, d) => (-d, t.id) }
       .take(s)
       .map(_._1)
+  }
+
+  /** §5.1's score of one table's rows: each row's distance from the table's
+    * mean, the mean summed in the order given. [[prune]] and [[sparkPrune]]
+    * both score a table through this.
+    */
+  private def tableScores(vecs: Vector[Array[Double]]): Vector[Double] = {
+    val mean = VecOps.mean(vecs)
+    vecs.map(VecOps.cosineDist(mean, _))
   }
 
   /** §5.2 — cluster into `nClusters` and return each cluster's medoid. One
@@ -104,8 +112,8 @@ object DiversifyTuples {
     }
 
   /** Distributed §5.1: exactly [[prune]]'s output, in its order. Each table's
-    * rows are sorted by id — ids follow input order — so the mean and the
-    * scores are summed as [[prune]] sums them; the global top-s is an
+    * rows are sorted by id — ids follow input order — and scored by the
+    * function [[prune]] scores them with; the global top-s is an
     * `orderBy.limit` (TakeOrderedAndProject). An input of at most s tuples
     * is returned as it came, as [[prune]] returns it.
     */
@@ -116,8 +124,7 @@ object DiversifyTuples {
       .groupByKey(_._2)
       .flatMapGroups { (_, rows) =>
         val ts = rows.toVector.sortBy(_._1)
-        val mean = VecOps.mean(ts.map(_._3))
-        ts.map { case (id, table, vec) => (id, table, vec, VecOps.cosineDist(mean, vec)) }
+        ts.zip(tableScores(ts.map(_._3))).map { case ((id, table, vec), d) => (id, table, vec, d) }
       }
       .toDF("id", "table", "vec", "score")
       .orderBy(col("score").desc, col("id").asc)

@@ -47,13 +47,15 @@ object DustModel {
     r
   }
 
+  /** The head's shape and SGD settings, the same for every trained model. */
+  private val Hidden = 64
+  val Out = 32
+  private val Lr = 0.05
+  private val Dropout = 0.1
+
   final case class TrainConfig(
-      hidden: Int = 64,
-      out: Int = 32,
-      lr: Double = 0.05,
       maxEpochs: Int = 60,
       patience: Int = 10,
-      dropout: Double = 0.1,
       seed: Long = 42,
   )
 
@@ -89,8 +91,8 @@ object DustModel {
     def initMat(rows: Int, colsN: Int): Array[Array[Double]] =
       Array.fill(rows)(Array.fill(colsN)(rng.nextGaussian() / math.sqrt(colsN)))
 
-    val w1 = initMat(cfg.hidden, dIn)
-    val w2 = initMat(cfg.out, cfg.hidden)
+    val w1 = initMat(Hidden, dIn)
+    val w2 = initMat(Out, Hidden)
 
     /** Forward with cached activations: (h = tanh(W1 x), e = W2 h). */
     def forward(x: Array[Double]): (Array[Double], Array[Double]) = {
@@ -128,28 +130,27 @@ object DustModel {
     /** Accumulate SGD step for one tuple of the pair. */
     def backprop(x: Array[Double], h: Array[Double], gE: Array[Double]): Unit = {
       // W2 update and dL/dh.
-      val gH = new Array[Double](cfg.hidden)
+      val gH = new Array[Double](Hidden)
       var o = 0
-      while (o < cfg.out) {
+      while (o < Out) {
         val row = w2(o); val g = gE(o)
         var j = 0
-        while (j < cfg.hidden) { gH(j) += row(j) * g; row(j) -= cfg.lr * g * h(j); j += 1 }
+        while (j < Hidden) { gH(j) += row(j) * g; row(j) -= Lr * g * h(j); j += 1 }
         o += 1
       }
       // Through tanh, then W1 update.
       var j = 0
-      while (j < cfg.hidden) {
+      while (j < Hidden) {
         val ga = gH(j) * (1.0 - h(j) * h(j))
         val row = w1(j)
         var i = 0
-        while (i < dIn) { row(i) -= cfg.lr * ga * x(i); i += 1 }
+        while (i < dIn) { row(i) -= Lr * ga * x(i); i += 1 }
         j += 1
       }
     }
 
     def dropoutMask(x: Array[Double]): Array[Double] =
-      if (cfg.dropout <= 0.0) x
-      else x.map(v => if (rng.nextDouble() < cfg.dropout) 0.0 else v / (1.0 - cfg.dropout))
+      x.map(v => if (rng.nextDouble() < Dropout) 0.0 else v / (1.0 - Dropout))
 
     var bestVal = Double.MaxValue
     var bestW1 = w1.map(_.clone()); var bestW2 = w2.map(_.clone())

@@ -10,7 +10,7 @@ import repro.util.VecOps
   */
 final case class TupleFeaturizer(lm: HashLm, idf: Option[String => Double] = None) {
 
-  def dim: Int = lm.dim
+  def dim: Int = HashLm.Dim
 
   /** Feature vector of a tuple given as (header, value) pairs. */
   def features(pairs: Seq[(String, String)]): Array[Double] = features(pairs, lm.tokenTable())
@@ -18,7 +18,7 @@ final case class TupleFeaturizer(lm: HashLm, idf: Option[String => Double] = Non
   /** [[features]] within a batch that shares one token table. */
   def features(pairs: Seq[(String, String)], tokens: HashLm.TokenTable): Array[Double] = {
     val toks = Serializer.tokens(pairs)
-    if (toks.isEmpty) new Array[Double](lm.dim)
+    if (toks.isEmpty) new Array[Double](HashLm.Dim)
     else idf match {
       case None    => lm.embedTokens(toks, tokens)
       case Some(w) => lm.embedWeighted(toks, toks.map(t => math.max(1e-6, w(t))), tokens)

@@ -55,7 +55,7 @@ final case class CellLevelEmbedder(lm: HashLm) extends ColumnEmbedder {
     val tokens = cellLm.tokenTable()
     ColumnEmbedder.perColumn(tables) { (table, j) =>
       val cells = table.columnValues(j)
-      if (cells.isEmpty) new Array[Double](lm.dim)
+      if (cells.isEmpty) new Array[Double](HashLm.Dim)
       else VecOps.normalize(VecOps.mean(cells.map(cellLm.embedText(_, tokens))))
     }
   }
@@ -69,7 +69,7 @@ final case class ColumnLevelEmbedder(lm: HashLm) extends ColumnEmbedder {
     val tokens = lm.tokenTable()
     ColumnEmbedder.perColumn(tables) { (table, j) =>
       val top = tfidf.topTokens(table.columnValues(j))
-      if (top.isEmpty) new Array[Double](lm.dim)
+      if (top.isEmpty) new Array[Double](HashLm.Dim)
       else lm.embedWeighted(top.map(_._1), top.map(_._2), tokens)
     }
   }

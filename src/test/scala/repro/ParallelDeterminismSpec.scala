@@ -78,7 +78,7 @@ class ParallelDeterminismSpec extends SparkSpec {
     val serial = tables.map { t =>
       (0 until t.nCols).map { j =>
         val top = tfidf.topTokens(t.columnValues(j))
-        if (top.isEmpty) new Array[Double](lm.dim) else lm.embedWeighted(top.map(_._1), top.map(_._2))
+        if (top.isEmpty) new Array[Double](HashLm.Dim) else lm.embedWeighted(top.map(_._1), top.map(_._2))
       }
     }
     onePoolAndEight(ColumnEmbedders.dustDefault.embedAll(tables, tfidf)).foreach { case (n, embs) =>

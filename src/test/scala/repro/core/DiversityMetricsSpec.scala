@@ -1,11 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.functions.col
-import repro.{Oracle, SparkSpec}
-import repro.core.DiversifyTuples.EmbTuple
+import org.scalatest.funsuite.AnyFunSuite
 import repro.util.{Rng, VecOps}
 
-class DiversityMetricsSpec extends SparkSpec {
+class DiversityMetricsSpec extends AnyFunSuite {
 
   private val q = Vector(Array(1.0, 0.0), Array(0.0, 1.0))
   private val sel = Vector(Array(-1.0, 0.0), Array(0.0, -1.0))
@@ -88,54 +86,5 @@ class DiversityMetricsSpec extends SparkSpec {
       assert(bits(d.min) == bits(refMin(qv, sv)), s"min n=${qv.size} k=${sv.size}")
     }
     assert(cases.count { case (qv, sv) => DiversityMetrics.diversity(qv, sv).min < 1e-12 } > 50)
-  }
-
-  private def frames(qv: Vector[Array[Double]], sv: Vector[Array[Double]]) =
-    (DiversifyTuples.toDF(spark, qv.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "q", v) }),
-     DiversifyTuples.toDF(spark, sv.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "s", v) }))
-
-  test("spark average diversity equals the driver value") {
-    val rng = new Rng(7)
-    val qv = Vector.fill(5)(Array.fill(8)(rng.nextGaussian()))
-    val sv = Vector.fill(7)(Array.fill(8)(rng.nextGaussian()))
-    val (qDf, sDf) = frames(qv, sv)
-    val driver = DiversityMetrics.diversity(qv, sv).avg
-    val sparkV = DiversityMetrics.sparkDiversity(qDf, sDf).avg
-    assert(math.abs(driver - sparkV) < 1e-9)
-  }
-
-  test("spark min diversity equals the driver value") {
-    val rng = new Rng(8)
-    val qv = Vector.fill(4)(Array.fill(8)(rng.nextGaussian()))
-    val sv = Vector.fill(6)(Array.fill(8)(rng.nextGaussian()))
-    val (qDf, sDf) = frames(qv, sv)
-    val driver = DiversityMetrics.diversity(qv, sv).min
-    val sparkV = DiversityMetrics.sparkDiversity(qDf, sDf).min
-    assert(math.abs(driver - sparkV) < 1e-9)
-  }
-
-  test("oracle: Eq.(1)/(2) aggregates match DuckDB over the distance table") {
-    val rng = new Rng(9)
-    val qv = Vector.fill(4)(Array.fill(6)(rng.nextGaussian()))
-    val sv = Vector.fill(5)(Array.fill(6)(rng.nextGaussian()))
-    val qDf = DiversifyTuples.toDF(spark, qv.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "q", v) })
-    val sDf = DiversifyTuples.toDF(spark, sv.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "s", v) })
-    val distances = DiversityMetrics.distancesDF(qDf, sDf)
-    import org.apache.spark.sql.functions._
-    val agg = distances.agg(
-      (sum("d") / (qv.size + sv.size)) as "avg_div",
-      min("d") as "min_div")
-    Oracle.assertEquivalent(agg,
-      s"SELECT sum(CAST(d AS DOUBLE)) / ${qv.size + sv.size} AS avg_div, " +
-      "min(CAST(d AS DOUBLE)) AS min_div FROM distances",
-      "distances" -> distances.select(col("d").cast("string") as "d"))
-  }
-
-  test("distancesDF row count is n*k + k*(k-1)/2") {
-    val qv = Vector.fill(3)(Array(1.0, 0.0))
-    val sv = Vector.fill(4)(Array(0.0, 1.0))
-    val qDf = DiversifyTuples.toDF(spark, qv.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "q", v) })
-    val sDf = DiversifyTuples.toDF(spark, sv.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "s", v) })
-    assert(DiversityMetrics.distancesDF(qDf, sDf).count() == 3 * 4 + 6)
   }
 }

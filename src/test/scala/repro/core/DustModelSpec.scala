@@ -13,7 +13,7 @@ class DustModelSpec extends SparkSpec {
   private lazy val split = Benchmarks.fineTune
 
   test("embedding dimension matches the configured head") {
-    assert(model.embed(Seq(("a", "b"))).length == DustModel.TrainConfig().out)
+    assert(model.embed(Seq(("a", "b"))).length == DustModel.Out)
   }
 
   test("embedding is deterministic") {
