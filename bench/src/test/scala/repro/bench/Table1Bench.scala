@@ -13,7 +13,7 @@ class Table1Bench extends AnyFunSuite {
     val rows = Table1Experiment.run(benches)
     println("\n=== Table 1: Column Alignment effectiveness (lite benchmarks) ===")
     println(Table1Experiment.render(rows))
-    println("""Paper F1 for reference — TUS-Sampled: FastText .66, Glove .63, cBERT .59,
+    println("""Paper F1 for reference - TUS-Sampled: FastText .66, Glove .63, cBERT .59,
               |cRoBERTa .69, csBERT .70, CBERT .64, CRoBERTa .74, CsBERT .68,
               |Starmie(B) .41, Starmie(H) .55; SANTOS: .70 .71 .60 .66 .69 .66 .76 .76 .32 .18;
               |UGEN: .43 .43 .44 .53 .52 .47 .58 .58 .24 .57.""".stripMargin)

@@ -18,6 +18,7 @@ object Dust {
       s: Int = 2500,    // pruning budget (§5.1)
   ) {
     require(topN >= 1 && k >= 1 && p >= 1 && s >= 1, s"Config needs topN, k, p and s >= 1: $this")
+    require(s >= k, s"Config needs s >= k, or pruning leaves fewer than k tuples: $this")
   }
 
   /** Stage outputs of one query. `lakeEmb(i)` embeds `lakeTuples(i)`, whose
@@ -64,7 +65,10 @@ object Dust {
     Result(tables, aligned, queryTuples, lakeTuples, embed(model, queryTuples), Vector.empty, lakeEmb)
   }
 
-  /** Algorithm 2 on the driver over a prepared union: prune, cluster, re-rank. */
+  /** Algorithm 2 on the driver over a prepared union: prune, cluster,
+    * re-rank. Selects min(k, |union|) distinct tuples: pruning keeps
+    * min(s, |union|) of them, and s >= k.
+    */
   def diversify(u: Result, cfg: Config): Result =
     u.select(DiversifyTuples.run(u.lakeEmb, u.queryEmb, cfg.k, cfg.p, cfg.s))
 

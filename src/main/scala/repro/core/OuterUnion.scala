@@ -20,8 +20,10 @@ object OuterUnion {
       values: Vector[Option[String]],
   )
 
-  /** Outer-union `tables` against the query using `aligned`. Tuple ids are
-    * positions in the returned vector.
+  /** Outer-union `tables` against the query using `aligned`. A row with no
+    * value in an aligned column (empty `pairs`) is left out: it carries none
+    * of the query's columns, and its zero embedding would otherwise be the
+    * most novel tuple of all. Tuple ids are positions in the returned vector.
     */
   def union(query: SimpleTable, tables: Seq[SimpleTable], aligned: ColumnAlignment.Aligned): Vector[UnionTuple] = {
     val lookup = aligned.lookup // queryColIdx -> table -> lake colIdx
@@ -36,8 +38,10 @@ object OuterUnion {
         val pairs = queryCols.flatMap { qj =>
           values(qj).map(v => (query.cols(qj).header, v))
         }
-        out += UnionTuple(nextId, t.name, i, t.baseRowIds(i), pairs, values)
-        nextId += 1
+        if (pairs.nonEmpty) {
+          out += UnionTuple(nextId, t.name, i, t.baseRowIds(i), pairs, values)
+          nextId += 1
+        }
       }
     }
     out.result()

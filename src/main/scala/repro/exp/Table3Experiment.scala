@@ -9,12 +9,14 @@ import repro.search.{LlmSim, TupleSearch, UnionSearch}
   * the k tuples of (a) Starmie used as a tuple index, (b) the LLM generator
   * (UGEN only — token limits), (c) DUST end-to-end, all embedded with the
   * DUST model for scoring; count per-benchmark diversity wins. Also reports
-  * Starmie's MAP on the benchmark (§6.5.2's discussion).
+  * Starmie's MAP on the benchmark (§6.5.2's discussion) and the share of
+  * DUST's selected tuples that come from tables outside the query's ground
+  * truth (another `baseId`), which is what a search error costs DUST.
   */
 object Table3Experiment {
 
   final case class BenchResult(benchmark: String, results: Vector[DiversityWins.MethodResult],
-                               starmieMap: Double, nQueries: Int)
+                               starmieMap: Double, dustOffBase: Double, nQueries: Int)
     extends DiversityWins.Table
 
   def run(bench: LakeBenchmark, k: Int): BenchResult = {
@@ -47,12 +49,15 @@ object Table3Experiment {
           DiversityWins.Scored(m, DiversityMetrics.diversity(dust.queryEmb, sel))
         }
         val ap = UnionSearch.averagePrecision(q, ranked.map(_.table))
-        Some((scored, ap))
+        val baseOf = dust.tables.map(t => t.name -> t.baseId).toMap
+        val offBase = dust.selected.count(t => baseOf(t.table) != q.baseId)
+        Some((scored, ap, offBase, dust.selected.size))
       }
     }
     val n = perQuery.size
     BenchResult(bench.name,
       DiversityWins.tally(Vector("Starmie", "LLM", "DUST"), perQuery.map(_._1)),
-      perQuery.map(_._2).foldLeft(0.0)(_ + _) / math.max(1, n), n)
+      perQuery.map(_._2).foldLeft(0.0)(_ + _) / math.max(1, n),
+      perQuery.map(_._3).sum.toDouble / math.max(1, perQuery.map(_._4).sum), n)
   }
 }

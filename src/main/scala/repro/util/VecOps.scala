@@ -23,10 +23,14 @@ object VecOps {
   }
 
   /** Cosine distance = 1 - cosine similarity; in [0, 2]. δ(x, x) = 0 for
-    * every non-zero x, but a zero vector is at distance 1 from every vector,
-    * itself included, since [[cosineSim]] is 0 there (ROADMAP item 1).
+    * every x: exactly for the zero vector, and up to rounding otherwise. A
+    * zero vector is at distance 1 from every non-zero vector.
     */
-  def cosineDist(a: Array[Double], b: Array[Double]): Double = 1.0 - cosineSim(a, b)
+  def cosineDist(a: Array[Double], b: Array[Double]): Double = {
+    val na = norm(a); val nb = norm(b)
+    if (na == 0.0 || nb == 0.0) { if (na == nb) 0.0 else 1.0 }
+    else 1.0 - dot(a, b) / (na * nb)
+  }
 
   def euclidean(a: Array[Double], b: Array[Double]): Double = {
     require(a.length == b.length, s"dim mismatch ${a.length} vs ${b.length}")

@@ -113,6 +113,36 @@ class DustPipelineSpec extends SparkSpec {
     assert(Dust.Config(topN = 1, k = 1, p = 1, s = 1).s == 1)
   }
 
+  test("Config rejects s below k") {
+    intercept[IllegalArgumentException](Dust.Config(k = 30, s = 29))
+    assert(Dust.Config(k = 30, s = 30).s == 30)
+  }
+
+  test("diversify selects min(k, |union|) distinct tuples, also from a union smaller than k") {
+    val u = Dust.prepare(q, bench.unionableFor(q).take(1), model, Benchmarks.tfidfFor(bench))
+    val n = u.lakeTuples.size
+    assert(n >= 2)
+    Seq(n - 1, n, n + 5).foreach { k =>
+      val ids = Dust.diversify(u, Dust.Config(k = k)).selected.map(_.id)
+      assert(ids.size == math.min(k, n) && ids.distinct.size == ids.size, s"k=$k n=$n")
+    }
+  }
+
+  test("neither engine selects a tuple with no aligned value (Table 3 setting)") {
+    for ((b, k) <- Seq(Benchmarks.santos -> Benchmarks.santosK, Benchmarks.ugen -> Benchmarks.ugenK);
+         bq <- b.queries if b.unionableFor(bq).nonEmpty) {
+      val tfidf = Some(Benchmarks.tfidfFor(b))
+      val c = Dust.Config(topN = b.unionableFor(bq).size, k = k)
+      val driver = Dust.run(bq, b, model, c, tfidfOpt = tfidf)
+      val onSpark = Dust.runSpark(spark, bq, b, model, c, tfidfOpt = tfidf)
+      assert(driver.lakeTuples.forall(_.pairs.nonEmpty), s"${b.name}/${bq.name}")
+      Seq(driver, onSpark).foreach { r =>
+        assert(r.selected.size == math.min(k, r.lakeTuples.size), s"${b.name}/${bq.name}")
+        assert(r.selected.forall(_.pairs.nonEmpty), s"${b.name}/${bq.name}")
+      }
+    }
+  }
+
   test("embedTuples yields one embedding per tuple with stable ids") {
     val embs = Dust.embedTuples(model, result.lakeTuples.take(10))
     assert(embs.map(_.id) == result.lakeTuples.take(10).map(_.id))

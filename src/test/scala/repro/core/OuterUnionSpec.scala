@@ -13,8 +13,13 @@ class OuterUnionSpec extends SparkSpec {
   private lazy val aligned = ColumnAlignment.alignHolistic(q, tables, ColumnEmbedders.dustDefault, tfidf)
   private lazy val tuples = OuterUnion.union(q, tables, aligned)
 
-  test("one unionable tuple per lake row") {
-    assert(tuples.size == tables.map(_.nRows).sum)
+  test("one unionable tuple per lake row with an aligned value") {
+    val lookup = aligned.lookup
+    val expected = tables.map { t =>
+      val cols = q.cols.indices.flatMap(qj => lookup.get(qj).flatMap(_.get(t.name)))
+      t.rows.count(row => cols.exists(row(_).isDefined))
+    }.sum
+    assert(expected > 0 && tuples.size == expected)
   }
 
   test("tuple ids are unique and dense") {
@@ -57,6 +62,14 @@ class OuterUnionSpec extends SparkSpec {
         }
       }
     }
+  }
+
+  test("a table that aligns no column contributes no tuple, and ids stay dense") {
+    val unaligned = bench.lake.find(t => !tables.exists(_.name == t.name)).get
+    assert(aligned.lookup.values.forall(!_.contains(unaligned.name)))
+    assert(OuterUnion.union(q, unaligned +: tables, aligned) == tuples)
+    assert(OuterUnion.union(q, tables :+ unaligned, aligned) == tuples)
+    assert(tuples.forall(_.pairs.nonEmpty))
   }
 
   test("queryTuples mirrors the query rows") {

@@ -33,11 +33,18 @@ class VecOpsSpec extends SparkSpec {
 
   test("cosineSim with zero vector is 0") {
     assert(VecOps.cosineSim(Array(0.0, 0.0), Array(1.0, 1.0)) == 0.0)
+    assert(VecOps.cosineSim(Array(0.0, 0.0), Array(0.0, 0.0)) == 0.0)
   }
 
   test("cosineDist is 0 for a vector with itself") {
     val v = Array(0.5, 0.1)
     assert(math.abs(VecOps.cosineDist(v, v)) < eps)
+    // The zero vector too, exactly, and as two distinct arrays; it stays at
+    // distance 1 from every non-zero vector.
+    val z = Array(0.0, 0.0)
+    assert(VecOps.cosineDist(z, z) == 0.0)
+    assert(VecOps.cosineDist(z, Array(-0.0, 0.0)) == 0.0)
+    assert(VecOps.cosineDist(z, v) == 1.0 && VecOps.cosineDist(v, z) == 1.0)
   }
 
   test("cosineDist is symmetric") {
