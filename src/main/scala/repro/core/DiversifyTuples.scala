@@ -132,21 +132,18 @@ object DiversifyTuples {
       .select("id", "table", "vec")
   }
 
-  /** Distributed §5.3: cross join with the query tuples, one group per
-    * candidate that carries its vector and takes the min and average
-    * distance in query-id order as [[rerank]] does, then the top-k by
+  /** Distributed §5.3: the query tuples are collected once, in id order,
+    * and one typed `map` scores each candidate with the min and average
+    * distance [[rerank]] takes, summed in that same order; then the top-k by
     * `orderBy.limit`. The k rows are collected and numbered from 1 in `rk`.
     */
   def sparkRerank(spark: SparkSession, candDf: DataFrame, queryDf: DataFrame, k: Int): DataFrame = {
     import spark.implicits._
-    val top = candDf.select("id", "table", "vec")
-      .crossJoin(queryDf.select(col("id") as "qid", col("vec") as "qvec"))
-      .as[(Long, String, Array[Double], Long, Array[Double])]
-      .groupByKey(_._1)
-      .mapGroups { (id, rows) =>
-        val byQuery = rows.toVector.sortBy(_._4)
-        val (_, table, vec, _, _) = byQuery.head
-        val (mn, avg) = queryDistance(vec, byQuery.map(_._5))
+    val query = queryDf.select("id", "vec").as[(Long, Array[Double])].collect().sortBy(_._1).toVector.map(_._2)
+    require(query.nonEmpty, "rerank needs query tuples")
+    val top = candDf.select("id", "table", "vec").as[(Long, String, Array[Double])]
+      .map { case (id, table, vec) =>
+        val (mn, avg) = queryDistance(vec, query)
         (id, table, vec, mn, avg)
       }
       .toDF("id", "table", "vec", "rankScore", "tieScore")

@@ -4,7 +4,6 @@ import org.apache.spark.sql.SparkSession
 import repro.data.{LakeBenchmark, SimpleTable}
 import repro.embed.{ColumnEmbedders, TfIdf}
 import repro.search.UnionSearch
-import repro.util.Par
 
 /** DUST end-to-end (Algorithm 1): SearchTables → [[prepare]] (AlignColumns →
   * OuterUnion → EmbedTuples) → [[diversify]] (DiversifyTuples, Algorithm 2).
@@ -40,19 +39,13 @@ object Dust {
       copy(selected = chosen.map(c => lakeTuples(c.id.toInt)))
   }
 
-  /** Embed unionable tuples with the fine-tuned model. */
-  def embedTuples(model: DustModel, tuples: Seq[OuterUnion.UnionTuple]): Vector[DiversifyTuples.EmbTuple] =
-    tuples.toVector.zip(embed(model, tuples)).map { case (t, v) => DiversifyTuples.EmbTuple(t.id, t.table, v) }
-
-  /** The fine-tuned embedding of each tuple, in order; a token shared by
-    * several tuples is embedded once. Tuples are embedded in parallel, each
-    * exactly as `model.embed` embeds it alone.
+  /** Embed unionable tuples with the fine-tuned model, as one batch call
+    * (`DustModel.embedAll`).
     */
-  def embed(model: DustModel, tuples: Seq[OuterUnion.UnionTuple]): Vector[Array[Double]] = {
-    val tokens = model.base.lm.tokenTable()
-    val ts = tuples.toIndexedSeq
-    Par.tabulate(ts.size)(i => model.embed(ts(i).pairs, tokens)).toVector
-  }
+  def embedTuples(model: DustModel, tuples: Seq[OuterUnion.UnionTuple]): Vector[DiversifyTuples.EmbTuple] =
+    tuples.toVector.zip(model.embedAll(tuples.map(_.pairs))).map { case (t, v) =>
+      DiversifyTuples.EmbTuple(t.id, t.table, v)
+    }
 
   /** Algorithm 1 over a given table set: AlignColumns (with
     * [[ColumnEmbedders.dustDefault]]) → OuterUnion → EmbedTuples.
@@ -62,7 +55,7 @@ object Dust {
     val lakeTuples = OuterUnion.union(query, tables, aligned)
     val queryTuples = OuterUnion.queryTuples(query)
     val lakeEmb = embedTuples(model, lakeTuples)
-    Result(tables, aligned, queryTuples, lakeTuples, embed(model, queryTuples), Vector.empty, lakeEmb)
+    Result(tables, aligned, queryTuples, lakeTuples, model.embedAll(queryTuples.map(_.pairs)), Vector.empty, lakeEmb)
   }
 
   /** Algorithm 2 on the driver over a prepared union: prune, cluster,

@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.data.FineTuneData.FtPair
-import repro.embed.HashLm
 import repro.util.{Rng, VecOps}
 
 /** The DUST tuple representation model (§4): a fine-tuned head on top of the
@@ -21,21 +20,19 @@ final class DustModel(
 ) {
   import DustModel.matVec
 
-  def dimOut: Int = w2.length
-
   /** Forward pass from base features. */
   def embedFeatures(x: Array[Double]): Array[Double] =
     matVec(w2, matVec(w1, x).map(math.tanh))
 
   /** Embed a tuple given as (header, value) pairs. */
-  def embed(pairs: Seq[(String, String)]): Array[Double] = embed(pairs, base.lm.tokenTable())
+  def embed(pairs: Seq[(String, String)]): Array[Double] = embedFeatures(base.features(pairs))
 
-  /** [[embed]] within a batch that shares one token table. */
-  def embed(pairs: Seq[(String, String)], tokens: HashLm.TokenTable): Array[Double] =
-    embedFeatures(base.features(pairs, tokens))
-
-  def cosDist(a: Seq[(String, String)], b: Seq[(String, String)]): Double =
-    VecOps.cosineDist(embed(a), embed(b))
+  /** [[embed]] of every tuple, in order, as one batch call: tuples are
+    * embedded in parallel through one token table (`HashLm.batch`), each
+    * bit for bit as `embed` embeds it alone.
+    */
+  def embedAll(tuples: Seq[Seq[(String, String)]]): Vector[Array[Double]] =
+    base.mapAll(tuples)(embedFeatures)
 }
 
 object DustModel {
@@ -69,11 +66,15 @@ object DustModel {
   def predictUnionable(e1: Array[Double], e2: Array[Double]): Boolean =
     VecOps.cosineDist(e1, e2) < Threshold
 
-  /** Classification accuracy of an arbitrary embedder over labeled pairs. */
-  def accuracy(embed: Seq[(String, String)] => Array[Double], pairs: Seq[FtPair]): Double = {
+  /** Classification accuracy of an arbitrary embedder over labeled pairs.
+    * `embedAll` embeds a batch of tuples, in order (`DustModel.embedAll`,
+    * `TupleFeaturizer.featuresAll`); every pair's two tuples go in one batch.
+    */
+  def accuracy(embedAll: Seq[Seq[(String, String)]] => Seq[Array[Double]], pairs: Seq[FtPair]): Double = {
     require(pairs.nonEmpty, "empty evaluation set")
-    val correct = pairs.count { p =>
-      predictUnionable(embed(p.t1), embed(p.t2)) == (p.label == 1)
+    val es = embedAll(pairs.flatMap(p => Seq(p.t1, p.t2))).toIndexedSeq
+    val correct = pairs.indices.count { i =>
+      predictUnionable(es(2 * i), es(2 * i + 1)) == (pairs(i).label == 1)
     }
     correct.toDouble / pairs.size
   }
@@ -188,8 +189,8 @@ object DustModel {
       cfg: TrainConfig = TrainConfig(),
   ): (DustModel, TrainStats) = {
     def feat(ps: Seq[FtPair]) = {
-      val tokens = base.lm.tokenTable()
-      ps.map(p => (base.features(p.t1, tokens), base.features(p.t2, tokens), p.label)).toIndexedSeq
+      val xs = base.featuresAll(ps.flatMap(p => Seq(p.t1, p.t2)))
+      ps.indices.map(i => (xs(2 * i), xs(2 * i + 1), ps(i).label))
     }
     finetune(base, feat(train), feat(validation), cfg)
   }

@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.embed.HashLm
-import repro.util.VecOps
 
 /** Base (pre-projection) tuple features: mean-pooled hash-LM vectors of the
   * serialized tuple's tokens. This is the "pre-trained transformer output"
@@ -13,19 +12,25 @@ final case class TupleFeaturizer(lm: HashLm, idf: Option[String => Double] = Non
   def dim: Int = HashLm.Dim
 
   /** Feature vector of a tuple given as (header, value) pairs. */
-  def features(pairs: Seq[(String, String)]): Array[Double] = features(pairs, lm.tokenTable())
+  def features(pairs: Seq[(String, String)]): Array[Double] = pool(lm, pairs)
 
-  /** [[features]] within a batch that shares one token table. */
-  def features(pairs: Seq[(String, String)], tokens: HashLm.TokenTable): Array[Double] = {
-    val toks = Serializer.tokens(pairs)
-    if (toks.isEmpty) new Array[Double](HashLm.Dim)
-    else idf match {
-      case None    => lm.embedTokens(toks, tokens)
-      case Some(w) => lm.embedWeighted(toks, toks.map(t => math.max(1e-6, w(t))), tokens)
-    }
+  /** [[features]] of every tuple, in order, as one batch call ([[HashLm.batch]]). */
+  def featuresAll(tuples: Seq[Seq[(String, String)]]): Vector[Array[Double]] = mapAll(tuples)(identity)
+
+  /** `head(features(t))` of every tuple `t`, in order; `head` runs inside
+    * the batch's parallel loop.
+    */
+  private[core] def mapAll(tuples: Seq[Seq[(String, String)]])(
+      head: Array[Double] => Array[Double]): Vector[Array[Double]] = {
+    val ts = tuples.toIndexedSeq
+    lm.batch(ts.size)((tokens, i) => head(pool(tokens, ts(i))))
   }
 
-  /** Cosine distance between two tuples in this base space. */
-  def cosDist(a: Seq[(String, String)], b: Seq[(String, String)]): Double =
-    VecOps.cosineDist(features(a), features(b))
+  private def pool(tokens: HashLm.Pooling, pairs: Seq[(String, String)]): Array[Double] = {
+    val toks = Serializer.tokens(pairs)
+    idf match {
+      case None    => tokens.embedTokens(toks)
+      case Some(w) => tokens.embedWeighted(toks, toks.map(t => math.max(1e-6, w(t))))
+    }
+  }
 }

@@ -1,7 +1,7 @@
 package repro.embed
 
 import repro.data.SimpleTable
-import repro.util.{Par, VecOps}
+import repro.util.VecOps
 
 /** Column embedding strategies evaluated in Table 1 (§6.2.3).
   *
@@ -21,8 +21,8 @@ sealed trait ColumnEmbedder {
   /** One embedding per column of each table, computed afresh. A token
     * repeated anywhere in `tables` is embedded once. Pipeline stages read
     * embeddings through the lake's index, [[TfIdf.columnEmbeddings]], which
-    * calls this for the tables it has not seen. Columns are embedded in
-    * parallel ([[ColumnEmbedder.perColumn]]).
+    * calls this for the tables it has not seen. All columns are one batch
+    * call ([[ColumnEmbedder.perColumn]], [[HashLm.batch]]).
     */
   def embedAll(tables: Seq[SimpleTable], tfidf: TfIdf): Vector[Vector[Array[Double]]]
 
@@ -33,14 +33,15 @@ sealed trait ColumnEmbedder {
 
 object ColumnEmbedder {
 
-  /** `embed(table, j)` for every column j of every table, computed in
-    * parallel over (table, column) and grouped back per table, in order.
+  /** `embed(tokens, table, j)` for every column j of every table, as one
+    * batch call of `lm` ([[HashLm.batch]]) over (table, column), grouped
+    * back per table, in order.
     */
-  private[embed] def perColumn(tables: Seq[SimpleTable])(
-      embed: (SimpleTable, Int) => Array[Double]): Vector[Vector[Array[Double]]] = {
+  private[embed] def perColumn(lm: HashLm, tables: Seq[SimpleTable])(
+      embed: (HashLm.TokenTable, SimpleTable, Int) => Array[Double]): Vector[Vector[Array[Double]]] = {
     val ts = tables.toVector
     val cells = ts.flatMap(t => t.cols.indices.map(j => (t, j)))
-    val embs = Par.tabulate(cells.size) { c => val (t, j) = cells(c); embed(t, j) }
+    val embs = lm.batch(cells.size) { (tokens, c) => val (t, j) = cells(c); embed(tokens, t, j) }
     val starts = ts.scanLeft(0)(_ + _.nCols)
     ts.indices.toVector.map(i => embs.slice(starts(i), starts(i + 1)).toVector)
   }
@@ -51,28 +52,23 @@ final case class CellLevelEmbedder(lm: HashLm) extends ColumnEmbedder {
   val name = s"Cell-level ${lm.name}"
   private val cellLm = lm.copy(alpha = lm.alpha * 0.6)
 
-  def embedAll(tables: Seq[SimpleTable], tfidf: TfIdf): Vector[Vector[Array[Double]]] = {
-    val tokens = cellLm.tokenTable()
-    ColumnEmbedder.perColumn(tables) { (table, j) =>
+  def embedAll(tables: Seq[SimpleTable], tfidf: TfIdf): Vector[Vector[Array[Double]]] =
+    ColumnEmbedder.perColumn(cellLm, tables) { (tokens, table, j) =>
       val cells = table.columnValues(j)
       if (cells.isEmpty) new Array[Double](HashLm.Dim)
-      else VecOps.normalize(VecOps.mean(cells.map(cellLm.embedText(_, tokens))))
+      else VecOps.normalize(VecOps.mean(cells.map(tokens.embedText)))
     }
-  }
 }
 
 /** Column-level variant: TF-IDF top-512 tokens, weighted pooling. */
 final case class ColumnLevelEmbedder(lm: HashLm) extends ColumnEmbedder {
   val name = s"Column-level ${lm.name}"
 
-  def embedAll(tables: Seq[SimpleTable], tfidf: TfIdf): Vector[Vector[Array[Double]]] = {
-    val tokens = lm.tokenTable()
-    ColumnEmbedder.perColumn(tables) { (table, j) =>
+  def embedAll(tables: Seq[SimpleTable], tfidf: TfIdf): Vector[Vector[Array[Double]]] =
+    ColumnEmbedder.perColumn(lm, tables) { (tokens, table, j) =>
       val top = tfidf.topTokens(table.columnValues(j))
-      if (top.isEmpty) new Array[Double](HashLm.Dim)
-      else lm.embedWeighted(top.map(_._1), top.map(_._2), tokens)
+      tokens.embedWeighted(top.map(_._1), top.map(_._2))
     }
-  }
 }
 
 /** Starmie-style contextualized column embeddings: each column is mixed
@@ -110,19 +106,6 @@ final case class StarmieEmbedder() extends ColumnEmbedder {
 }
 
 object ColumnEmbedders {
-  /** The ten Table-1 configurations, in the paper's row order. */
-  val table1Configs: Vector[ColumnEmbedder] = Vector(
-    CellLevelEmbedder(HashLm.fastText),
-    CellLevelEmbedder(HashLm.glove),
-    CellLevelEmbedder(HashLm.bert),
-    CellLevelEmbedder(HashLm.roberta),
-    CellLevelEmbedder(HashLm.sbert),
-    ColumnLevelEmbedder(HashLm.bert),
-    ColumnLevelEmbedder(HashLm.roberta),
-    ColumnLevelEmbedder(HashLm.sbert),
-    StarmieEmbedder(), // used both for Starmie (B) and Starmie (H)
-  )
-
   /** DUST's production choice (§6.2.4): Column-level RoBERTa. */
   val dustDefault: ColumnEmbedder = ColumnLevelEmbedder(HashLm.roberta)
 }

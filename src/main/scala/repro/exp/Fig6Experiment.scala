@@ -12,15 +12,15 @@ object Fig6Experiment {
 
   def run(): Vector[Row] = {
     val test = Benchmarks.fineTune.test
-    def acc(embed: Seq[(String, String)] => Array[Double]): Double =
-      DustModel.accuracy(embed, test)
+    def acc(embedAll: Seq[Seq[(String, String)]] => Seq[Array[Double]]): Double =
+      DustModel.accuracy(embedAll, test)
     Vector(
-      Row("BERT", acc(Models.bertBase.features)),
-      Row("RoBERTa", acc(Models.robertaBase.features)),
-      Row("sBERT", acc(Models.sbertBase.features)),
-      Row("Ditto", acc(Models.ditto.embed)),
-      Row("DUST (BERT)", acc(Models.dustBert.embed)),
-      Row("DUST (RoBERTa)", acc(Models.dustRoberta.embed)),
+      Row("BERT", acc(Models.bertBase.featuresAll)),
+      Row("RoBERTa", acc(Models.robertaBase.featuresAll)),
+      Row("sBERT", acc(Models.sbertBase.featuresAll)),
+      Row("Ditto", acc(Models.ditto.embedAll)),
+      Row("DUST (BERT)", acc(Models.dustBert.embedAll)),
+      Row("DUST (RoBERTa)", acc(Models.dustRoberta.embedAll)),
     )
   }
 

@@ -2,7 +2,7 @@ package repro.exp
 
 import repro.core.ColumnAlignment
 import repro.data.LakeBenchmark
-import repro.embed.{ColumnEmbedders, ColumnEmbedder, StarmieEmbedder}
+import repro.embed.{CellLevelEmbedder, ColumnEmbedder, ColumnLevelEmbedder, HashLm, StarmieEmbedder}
 
 /** Table 1 — column alignment effectiveness: P/R/F1 of ten embedding
   * configurations on three benchmarks (§6.2). Per query, the input to
@@ -20,19 +20,22 @@ object Table1Experiment {
   /** Method descriptors: (row group, display name, embedder, bipartite?). */
   final case class Method(group: String, display: String, embedder: ColumnEmbedder, bipartite: Boolean)
 
+  /** Table 1's rows, in the paper's order: the one list of its embedders.
+    * Starmie (B) and (H) share one embedder.
+    */
   val methods: Vector[Method] = {
-    val cfgs = ColumnEmbedders.table1Configs
+    val starmie = StarmieEmbedder()
     Vector(
-      Method("Cell-level", "FastText", cfgs(0), bipartite = false),
-      Method("Cell-level", "Glove", cfgs(1), bipartite = false),
-      Method("Cell-level", "BERT", cfgs(2), bipartite = false),
-      Method("Cell-level", "RoBERTa", cfgs(3), bipartite = false),
-      Method("Cell-level", "sBERT", cfgs(4), bipartite = false),
-      Method("Column-level", "BERT", cfgs(5), bipartite = false),
-      Method("Column-level", "RoBERTa", cfgs(6), bipartite = false),
-      Method("Column-level", "sBERT", cfgs(7), bipartite = false),
-      Method("Table context", "Starmie (B)", StarmieEmbedder(), bipartite = true),
-      Method("Table context", "Starmie (H)", StarmieEmbedder(), bipartite = false),
+      Method("Cell-level", "FastText", CellLevelEmbedder(HashLm.fastText), bipartite = false),
+      Method("Cell-level", "Glove", CellLevelEmbedder(HashLm.glove), bipartite = false),
+      Method("Cell-level", "BERT", CellLevelEmbedder(HashLm.bert), bipartite = false),
+      Method("Cell-level", "RoBERTa", CellLevelEmbedder(HashLm.roberta), bipartite = false),
+      Method("Cell-level", "sBERT", CellLevelEmbedder(HashLm.sbert), bipartite = false),
+      Method("Column-level", "BERT", ColumnLevelEmbedder(HashLm.bert), bipartite = false),
+      Method("Column-level", "RoBERTa", ColumnLevelEmbedder(HashLm.roberta), bipartite = false),
+      Method("Column-level", "sBERT", ColumnLevelEmbedder(HashLm.sbert), bipartite = false),
+      Method("Table context", "Starmie (B)", starmie, bipartite = true),
+      Method("Table context", "Starmie (H)", starmie, bipartite = false),
     )
   }
 

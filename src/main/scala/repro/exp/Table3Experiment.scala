@@ -38,10 +38,10 @@ object Table3Experiment {
                             tfidfOpt = Some(tfidf), tablesOverride = Some(ranked.take(gtTables.size).map(_.table)))
 
         // Starmie as a tuple index: most-similar k tuples.
-        val starmieSel = Dust.embed(model, TupleSearch.topK(lakeTuples, dust.queryTuples, kk))
+        val starmieSel = model.embedAll(TupleSearch.topK(lakeTuples, dust.queryTuples, kk).map(_.pairs))
 
         // The LLM declines queries over its prompt budget (SANTOS's "-").
-        val llmSel = LlmSim.generate(q, kk).map(_.map(g => model.embed(g.pairs)))
+        val llmSel = LlmSim.generate(q, kk).map(gs => model.embedAll(gs.map(_.pairs)))
 
         val perMethod =
           Vector("Starmie" -> starmieSel, "DUST" -> dust.selectedEmb) ++ llmSel.map(s => "LLM" -> s).toVector

@@ -1,6 +1,7 @@
 package repro.search
 
 import repro.core.OuterUnion.UnionTuple
+import repro.core.Serializer
 import repro.embed.HashLm
 import repro.util.VecOps
 
@@ -15,17 +16,18 @@ object TupleSearch {
 
   /** Starmie's representation of a single-row table. */
   def tupleEmbedding(t: UnionTuple): Array[Double] =
-    lm.embedTokens(repro.core.Serializer.tokens(t.pairs))
+    lm.embedTokens(Serializer.tokens(t.pairs))
 
-  /** Representation of the query table = mean of its tuple embeddings. */
-  def queryEmbedding(queryTuples: Seq[UnionTuple]): Array[Double] =
-    VecOps.normalize(VecOps.mean(queryTuples.map(tupleEmbedding)))
-
-  /** Top-k lake tuples by similarity to the query table. */
+  /** Top-k lake tuples by similarity to the query table, whose
+    * representation is the mean of its tuple embeddings. Query and lake
+    * tuples are embedded in one batch call.
+    */
   def topK(lakeTuples: Vector[UnionTuple], queryTuples: Vector[UnionTuple], k: Int): Vector[UnionTuple] = {
-    val q = queryEmbedding(queryTuples)
-    lakeTuples
-      .map(t => (t, VecOps.cosineSim(tupleEmbedding(t), q)))
+    val all = queryTuples ++ lakeTuples
+    val embs = lm.batch(all.size)((tokens, i) => tokens.embedTokens(Serializer.tokens(all(i).pairs)))
+    val q = VecOps.normalize(VecOps.mean(embs.take(queryTuples.size)))
+    lakeTuples.zip(embs.drop(queryTuples.size))
+      .map { case (t, e) => (t, VecOps.cosineSim(e, q)) }
       .sortBy { case (t, s) => (-s, t.id) }
       .take(k)
       .map(_._1)

@@ -7,10 +7,10 @@ import repro.core.{ColumnAlignment, DiversifyTuples, Dust, OuterUnion}
 import repro.core.DiversifyTuples.EmbTuple
 import repro.data.{Generators, Tokenizer}
 import repro.embed.{ColumnEmbedders, HashLm, TfIdf}
-import repro.exp.{Benchmarks, Models}
+import repro.exp.{Benchmarks, Models, Table1Experiment}
 import repro.util.{Par, Rng, VecOps}
 
-/** The parallel sites (`Par.tabulate` in tuple and column embedding, the
+/** The parallel sites (`HashLm.batch` in tuple and column embedding, the
   * TF-IDF fit and the distance matrix, plus the medoids read from that
   * matrix) must give the same bits on one worker as on eight, and the bits
   * of a serial, element-by-element reference. A parallel stream started on
@@ -47,7 +47,7 @@ class ParallelDeterminismSpec extends SparkSpec {
     assert(Par.tabulate(0)(_ => 1).isEmpty)
   }
 
-  test("Dust.embed on a big union equals each tuple embedded alone, on 1 and 8 workers") {
+  test("DustModel.embedAll equals embed per tuple on 1 and 8 workers") {
     val big = Generators.generate(Generators.santosLiteConfig.copy(
       nBases = 2, rowsPerBase = 1000, tablesPerBase = 8, nQueries = 2))
     val q = big.queries.head
@@ -57,7 +57,7 @@ class ParallelDeterminismSpec extends SparkSpec {
     val tuples = OuterUnion.union(q, tables, aligned) ++ OuterUnion.queryTuples(q)
     assert(tuples.size >= 2000)
     val reference = tuples.map(t => model.embed(t.pairs))
-    onePoolAndEight(Dust.embed(model, tuples)).foreach { case (n, embs) =>
+    onePoolAndEight(model.embedAll(tuples.map(_.pairs))).foreach { case (n, embs) =>
       assert(sameBits(embs, reference), s"pool($n)")
     }
   }
@@ -66,7 +66,7 @@ class ParallelDeterminismSpec extends SparkSpec {
     val b = Benchmarks.santos
     val tables = b.lake ++ b.queries
     val tfidf = Benchmarks.tfidfFor(b)
-    ColumnEmbedders.table1Configs.foreach { emb =>
+    Table1Experiment.methods.map(_.embedder).distinct.foreach { emb =>
       val reference = inPool(1)(tables.map(t => emb.embedAll(t, tfidf)))
       onePoolAndEight(emb.embedAll(tables, tfidf)).foreach { case (n, embs) =>
         assert(embs.size == tables.size)
@@ -142,20 +142,21 @@ class ParallelDeterminismSpec extends SparkSpec {
   test("one token table shared by 8 threads returns tokenVec's vectors") {
     val lm = HashLm.fastText
     val tokens = (0 until 400).map(i => s"t${i % 7}c${i % 5}v$i")
-    val table = lm.tokenTable()
     val start = new CountDownLatch(1)
     val results = new Array[Seq[(String, Array[Double])]](8)
-    val threads = (0 until 8).map { w =>
-      new Thread(() => {
-        start.await()
-        // Overlapping windows, in a different order on each thread.
-        val mine = tokens.drop(w * 40).take(120) ++ tokens.take(80).reverse
-        results(w) = mine.map(tok => tok -> lm.embedTokens(Seq(tok), table))
-      })
+    lm.batch(1) { (table, _) =>
+      val threads = (0 until 8).map { w =>
+        new Thread(() => {
+          start.await()
+          // Overlapping windows, in a different order on each thread.
+          val mine = tokens.drop(w * 40).take(120) ++ tokens.take(80).reverse
+          results(w) = mine.map(tok => tok -> table.embedTokens(Seq(tok)))
+        })
+      }
+      threads.foreach(_.start())
+      start.countDown()
+      threads.foreach(_.join())
     }
-    threads.foreach(_.start())
-    start.countDown()
-    threads.foreach(_.join())
     results.foreach { rs =>
       assert(rs.size == 200)
       rs.foreach { case (tok, v) => assert(sameBits(v, VecOps.normalize(lm.tokenVec(tok))), tok) }

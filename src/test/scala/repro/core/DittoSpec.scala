@@ -26,9 +26,9 @@ class DittoSpec extends SparkSpec {
 
   test("Ditto lands between raw baselines and DUST on unionability (Fig 6 shape)") {
     val test = Benchmarks.fineTune.test
-    val ditto = DustModel.accuracy(Models.ditto.embed, test)
-    val raw = DustModel.accuracy(Models.robertaBase.features, test)
-    val dust = DustModel.accuracy(Models.dustRoberta.embed, test)
+    val ditto = DustModel.accuracy(Models.ditto.embedAll, test)
+    val raw = DustModel.accuracy(Models.robertaBase.featuresAll, test)
+    val dust = DustModel.accuracy(Models.dustRoberta.embedAll, test)
     assert(ditto > raw, s"ditto=$ditto raw=$raw")
     assert(dust > ditto, s"dust=$dust ditto=$ditto")
   }

@@ -155,43 +155,38 @@ class DiversifyTuplesSpec extends SparkSpec {
   }
 
   test("oracle: rerank top-k matches DuckDB SQL over the distance table") {
-    val cands = mkTuples(15, 13)
-    val q = mkTuples(4, 14).map(_.vec)
-    // Materialize the (cand, query, dist) table once, run the ranking in
-    // Spark SQL and DuckDB, and diff.
+    // Gaussian candidates and query tuples, so no two scores tie.
     import spark.implicits._
-    val rows = for {
-      c <- cands
-      (qv, qi) <- q.zipWithIndex
-    } yield (c.id, qi, VecOps.cosineDist(c.vec, qv))
-    val distDf = spark.createDataset(rows).toDF("cid", "qid", "d")
-    val k = 6
-    val sparkTop = distDf.groupBy("cid")
-      .agg(org.apache.spark.sql.functions.min("d") as "rankScore",
-           org.apache.spark.sql.functions.avg("d") as "tieScore")
-      .orderBy(col("rankScore").desc, col("tieScore").desc, col("cid").asc)
-      .limit(k)
-      .select(col("cid"))
-    Oracle.assertEquivalent(sparkTop,
-      s"""SELECT cid FROM (
-            SELECT cid, min(CAST(d AS DOUBLE)) AS r, avg(CAST(d AS DOUBLE)) AS t
-            FROM dists GROUP BY cid)
-          ORDER BY r DESC, t DESC, CAST(cid AS BIGINT) ASC LIMIT $k""",
-      "dists" -> distDf.select(col("cid").cast("string") as "cid",
-                               col("qid").cast("string") as "qid",
-                               col("d").cast("string") as "d"))
+    val cands = mkTuples(40, 13)
+    val query = mkTuples(5, 14)
+    val k = 12
+    val top = DiversifyTuples.sparkRerank(spark, DiversifyTuples.toDF(spark, cands), DiversifyTuples.toDF(spark, query), k)
+    val dists = for (c <- cands; q <- query) yield (c.id.toString, q.id.toString, VecOps.cosineDist(c.vec, q.vec).toString)
+    Oracle.assertEquivalent(top.select(col("id") as "cid", col("rk")),
+      s"""SELECT cid, row_number() OVER (ORDER BY min(d) DESC, avg(d) DESC, cid ASC) AS rk
+          FROM (SELECT CAST(cid AS BIGINT) AS cid, CAST(d AS DOUBLE) AS d FROM dists)
+          GROUP BY cid ORDER BY rk LIMIT $k""",
+      "dists" -> dists.toDF("cid", "qid", "d"))
   }
 
   test("oracle: per-table embedding means match DuckDB") {
-    val ts = mkTuples(30, 15, dim = 4)
-    val df = DiversifyTuples.toDF(spark, ts)
-    import org.apache.spark.sql.functions._
-    val exploded = df.select(col("table") as "tbl", posexplode(col("vec")).as(Seq("pos", "x")))
-    val means = exploded.groupBy("tbl", "pos").agg(avg("x") as "m")
-    Oracle.assertEquivalent(means,
-      "SELECT tbl, pos, avg(CAST(x AS DOUBLE)) AS m FROM cells GROUP BY tbl, pos",
-      "cells" -> exploded.select(col("tbl"), col("pos").cast("string") as "pos",
-                                 col("x").cast("string") as "x"))
+    // sparkPrune against §5.1 in SQL: per-table means, each row's cosine
+    // distance from its mean, the top s by (score desc, id asc). Gaussian
+    // tuples, so no two scores tie.
+    import spark.implicits._
+    val ts = mkTuples(60, 15, dim = 4)
+    val s = 20
+    val kept = DiversifyTuples.fromDF(DiversifyTuples.sparkPrune(spark, DiversifyTuples.toDF(spark, ts), s)).map(_.id)
+    val cells = for (t <- ts; (x, pos) <- t.vec.toSeq.zipWithIndex) yield (t.id.toString, t.table, pos.toString, x.toString)
+    Oracle.assertEquivalent(kept.zipWithIndex.map { case (id, i) => (id, i + 1) }.toDF("id", "rk"),
+      s"""WITH v AS (SELECT CAST(id AS BIGINT) AS id, tbl, CAST(pos AS INTEGER) AS pos, CAST(x AS DOUBLE) AS x
+                     FROM cells),
+               means AS (SELECT tbl, pos, avg(x) AS m FROM v GROUP BY tbl, pos),
+               scores AS (SELECT v.id, 1 - sum(v.x * means.m) / (sqrt(sum(v.x * v.x)) * sqrt(sum(means.m * means.m)))
+                                 AS score
+                          FROM v JOIN means ON v.tbl = means.tbl AND v.pos = means.pos GROUP BY v.id)
+          SELECT id, row_number() OVER (ORDER BY score DESC, id ASC) AS rk FROM scores ORDER BY rk LIMIT $s""",
+      "cells" -> cells.toDF("id", "tbl", "pos", "x"))
   }
 
   test("toDF/fromDF round-trips tuples") {

@@ -25,23 +25,23 @@ class DustModelSpec extends SparkSpec {
     val pos = split.test.filter(_.label == 1).take(100)
     val neg = split.test.filter(_.label == 0).take(100)
     def meanDist(ps: Seq[FtPair]) =
-      ps.map(p => model.cosDist(p.t1, p.t2)).sum / ps.size
+      ps.map(p => VecOps.cosineDist(model.embed(p.t1), model.embed(p.t2))).sum / ps.size
     assert(meanDist(neg) > meanDist(pos) + 0.3)
   }
 
   test("test accuracy beats every raw baseline by >= 15% (paper's headline)") {
-    val dustAcc = DustModel.accuracy(model.embed, split.test)
+    val dustAcc = DustModel.accuracy(model.embedAll, split.test)
     val baselines = Seq(
-      DustModel.accuracy(Models.bertBase.features, split.test),
-      DustModel.accuracy(Models.robertaBase.features, split.test),
-      DustModel.accuracy(Models.sbertBase.features, split.test),
+      DustModel.accuracy(Models.bertBase.featuresAll, split.test),
+      DustModel.accuracy(Models.robertaBase.featuresAll, split.test),
+      DustModel.accuracy(Models.sbertBase.featuresAll, split.test),
     )
     baselines.foreach(b => assert(dustAcc >= b * 1.15, s"dust=$dustAcc vs baseline=$b"))
   }
 
   test("raw pre-trained models are near coin-toss (anisotropy)") {
-    val bert = DustModel.accuracy(Models.bertBase.features, split.test)
-    val roberta = DustModel.accuracy(Models.robertaBase.features, split.test)
+    val bert = DustModel.accuracy(Models.bertBase.featuresAll, split.test)
+    val roberta = DustModel.accuracy(Models.robertaBase.featuresAll, split.test)
     assert(math.abs(bert - 0.5) < 0.07)
     assert(math.abs(roberta - 0.5) < 0.07)
   }
@@ -73,17 +73,17 @@ class DustModelSpec extends SparkSpec {
 
   test("accuracy of a perfect oracle embedder is bounded by label noise") {
     // With 8% label noise, even ground truth scores ~0.92.
-    val acc = DustModel.accuracy(model.embed, split.test)
+    val acc = DustModel.accuracy(model.embedAll, split.test)
     assert(acc < 0.97)
   }
 
   test("accuracy rejects empty evaluation sets") {
-    intercept[IllegalArgumentException](DustModel.accuracy(_ => Array(1.0), Nil))
+    intercept[IllegalArgumentException](DustModel.accuracy(_ => Vector.empty, Nil))
   }
 
   test("DUST (RoBERTa) and DUST (BERT) both clear 0.75 accuracy") {
-    assert(DustModel.accuracy(Models.dustRoberta.embed, split.test) > 0.75)
-    assert(DustModel.accuracy(Models.dustBert.embed, split.test) > 0.75)
+    assert(DustModel.accuracy(Models.dustRoberta.embedAll, split.test) > 0.75)
+    assert(DustModel.accuracy(Models.dustBert.embedAll, split.test) > 0.75)
   }
 
   test("embedding robustness to column order (App. A.2.1)") {

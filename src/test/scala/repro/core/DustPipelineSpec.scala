@@ -146,6 +146,6 @@ class DustPipelineSpec extends SparkSpec {
   test("embedTuples yields one embedding per tuple with stable ids") {
     val embs = Dust.embedTuples(model, result.lakeTuples.take(10))
     assert(embs.map(_.id) == result.lakeTuples.take(10).map(_.id))
-    assert(embs.forall(_.vec.length == model.dimOut))
+    assert(embs.forall(_.vec.length == DustModel.Out))
   }
 }

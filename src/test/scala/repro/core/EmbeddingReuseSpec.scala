@@ -4,7 +4,7 @@ import java.util.Arrays
 import repro.SparkSpec
 import repro.data.{ColumnSpec, Generators, LakeBenchmark, SimpleTable}
 import repro.embed.{ColumnEmbedders, TfIdf}
-import repro.exp.{Benchmarks, Models}
+import repro.exp.{Benchmarks, Models, Table1Experiment}
 
 /** The lake's column-embedding index and the per-call token tables must
   * never change a result: every vector they hand out equals the one a
@@ -17,6 +17,7 @@ class EmbeddingReuseSpec extends SparkSpec {
     Generators.ugenLite   -> Dust.Config(k = Benchmarks.ugenK, s = Benchmarks.pruneS))
   private lazy val model = Models.dustRoberta
   private def fit(b: LakeBenchmark): TfIdf = TfIdf.fit(b.lake ++ b.queries)
+  private def table1Embedders = Table1Experiment.methods.map(_.embedder).distinct
 
   private def sameVectors(a: Seq[Array[Double]], b: Seq[Array[Double]]): Boolean =
     a.size == b.size && a.zip(b).forall { case (x, y) => Arrays.equals(x, y) }
@@ -28,7 +29,7 @@ class EmbeddingReuseSpec extends SparkSpec {
     benches.foreach { case (b, _) =>
       val tables = b.lake ++ b.queries
       val tfidf = fit(b)
-      ColumnEmbedders.table1Configs.foreach { emb =>
+      table1Embedders.foreach { emb =>
         val filled = tfidf.columnEmbeddings(emb, tables)
         tables.zip(filled).foreach { case (t, indexed) =>
           val direct = emb.embedAll(t, tfidf)
@@ -54,14 +55,14 @@ class EmbeddingReuseSpec extends SparkSpec {
     }
   }
 
-  test("a Dust.Result's query and selected vectors equal Dust.embed of its tuples, bit for bit") {
+  test("a Dust.Result's query and selected vectors equal embedAll's bits") {
     benches.foreach { case (b, cfg) =>
       val tfidf = fit(b)
       b.queries.foreach { q =>
         val r = Dust.run(q, b, model, cfg, tfidfOpt = Some(tfidf))
         assert(r.selected.nonEmpty, s"${b.name}/${q.name}")
-        assert(bits(r.selectedEmb) == bits(Dust.embed(model, r.selected)), s"${b.name}/${q.name}")
-        assert(bits(r.queryEmb) == bits(Dust.embed(model, r.queryTuples)), s"${b.name}/${q.name}")
+        assert(bits(r.selectedEmb) == bits(model.embedAll(r.selected.map(_.pairs))), s"${b.name}/${q.name}")
+        assert(bits(r.queryEmb) == bits(model.embedAll(r.queryTuples.map(_.pairs))), s"${b.name}/${q.name}")
       }
     }
   }
@@ -71,7 +72,7 @@ class EmbeddingReuseSpec extends SparkSpec {
     val a = SimpleTable.dense("t", 0, cols, Vector(Vector("fresno", "river park"), Vector("reno", "lake park")))
     val b = SimpleTable.dense("t", 0, cols, Vector(Vector("austin", "zilker"), Vector("dallas", "fair park")))
     val tfidf = TfIdf.fit(Seq(a, b))
-    ColumnEmbedders.table1Configs.foreach { emb =>
+    table1Embedders.foreach { emb =>
       val both = tfidf.columnEmbeddings(emb, Vector(a, b))
       assert(!sameVectors(both(0), both(1)), emb.name)
       assert(sameVectors(tfidf.columnEmbeddings(emb, a), emb.embedAll(a, tfidf)), emb.name)
@@ -98,6 +99,6 @@ class EmbeddingReuseSpec extends SparkSpec {
     val b = Generators.ugenLite
     val q = b.queries.head
     val tuples = OuterUnion.queryTuples(q) ++ b.unionableFor(q).flatMap(OuterUnion.queryTuples)
-    assert(sameVectors(Dust.embed(model, tuples), tuples.map(t => model.embed(t.pairs))))
+    assert(sameVectors(model.embedAll(tuples.map(_.pairs)), tuples.map(t => model.embed(t.pairs))))
   }
 }

@@ -25,7 +25,8 @@ class TupleFeaturizerSpec extends SparkSpec {
     val t1 = Seq(("t1c0h0", "t1c0v1"), ("t1c1h0", "t1c1v5"))
     val t2 = Seq(("t1c0h0", "t1c0v7"), ("t1c1h0", "t1c1v2"))
     val t3 = Seq(("t9c0h0", "t9c0v1"), ("t9c1h0", "t9c1v5"))
-    assert(f.cosDist(t1, t2) < f.cosDist(t1, t3))
+    val Seq(e1, e2, e3) = f.featuresAll(Seq(t1, t2, t3))
+    assert(VecOps.cosineDist(e1, e2) < VecOps.cosineDist(e1, e3))
   }
 
   test("IDF weighting changes the embedding") {
@@ -37,6 +38,6 @@ class TupleFeaturizerSpec extends SparkSpec {
 
   test("cosDist of a tuple with itself is zero") {
     val p = Seq(("h", "v"))
-    assert(math.abs(f.cosDist(p, p)) < 1e-9)
+    assert(math.abs(VecOps.cosineDist(f.features(p), f.features(p))) < 1e-9)
   }
 }

@@ -2,6 +2,7 @@ package repro.embed
 
 import repro.SparkSpec
 import repro.data.Generators
+import repro.exp.Table1Experiment
 import repro.util.VecOps
 
 class ColumnEmbeddersSpec extends SparkSpec {
@@ -58,7 +59,7 @@ class ColumnEmbeddersSpec extends SparkSpec {
   }
 
   test("table1 registry holds nine embedders (Starmie reused for B and H)") {
-    assert(ColumnEmbedders.table1Configs.size == 9)
+    assert(Table1Experiment.methods.map(_.embedder).distinct.size == 9)
   }
 
   test("dust default is column-level RoBERTa (§6.2.4)") {

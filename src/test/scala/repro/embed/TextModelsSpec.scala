@@ -77,17 +77,16 @@ class TextModelsSpec extends SparkSpec {
 
   test("a shared token table pools bit-identical vectors") {
     val lm = HashLm.roberta
-    val table = lm.tokenTable()
-    val texts = Seq(Seq("a", "b", "a"), Seq("b", "c"), Seq("a"), Seq("c", "c", "b"))
-    texts.foreach { toks =>
-      assert(java.util.Arrays.equals(lm.embedTokens(toks, table), lm.embedTokens(toks)))
-      val ws = toks.indices.map(_ + 1.0)
-      assert(java.util.Arrays.equals(lm.embedWeighted(toks, ws, table), lm.embedWeighted(toks, ws)))
+    val texts = Vector(Seq("a", "b", "a"), Seq("b", "c"), Seq("a"), Seq("c", "c", "b"), Nil)
+    def weights(toks: Seq[String]) = toks.indices.map(_ + 1.0)
+    val pooled = lm.batch(texts.size) { (table, i) =>
+      (table.embedTokens(texts(i)), table.embedWeighted(texts(i), weights(texts(i))), table.embedText(texts(i).mkString(" ")))
     }
-  }
-
-  test("a token table rejects another model") {
-    intercept[IllegalArgumentException](HashLm.bert.embedTokens(Seq("a"), HashLm.roberta.tokenTable()))
+    texts.zip(pooled).foreach { case (toks, (mean, weighted, text)) =>
+      assert(java.util.Arrays.equals(mean, lm.embedTokens(toks)))
+      assert(java.util.Arrays.equals(weighted, lm.embedWeighted(toks, weights(toks))))
+      assert(java.util.Arrays.equals(text, lm.embedText(toks.mkString(" "))))
+    }
   }
 
   test("table-1 model registry covers the paper's rows") {

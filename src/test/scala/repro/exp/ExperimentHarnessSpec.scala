@@ -48,7 +48,7 @@ class ExperimentHarnessSpec extends SparkSpec {
       val tables = bench.unionableFor(q)
       val aligned = ColumnAlignment.alignHolistic(q, tables, ColumnEmbedders.dustDefault, tfidf)
       val lakeEmb = Dust.embedTuples(model, OuterUnion.union(q, tables, aligned))
-      (q.name, DiversifyTuples.prune(lakeEmb, 50), Dust.embed(model, OuterUnion.queryTuples(q)))
+      (q.name, DiversifyTuples.prune(lakeEmb, 50), model.embedAll(OuterUnion.queryTuples(q).map(_.pairs)))
     }
     val insts = Table2Experiment.instances(bench, s = 50)
     assert(insts.map(_.name) == expected.map(_._1))
