@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.data.FineTuneData.FtPair
+import repro.embed.HashLm
 import repro.util.{Rng, VecOps}
 
 /** The DUST tuple representation model (§4): a fine-tuned head on top of the
@@ -21,18 +22,17 @@ final class DustModel(
   import DustModel.matVec
 
   /** Forward pass from base features. */
-  def embedFeatures(x: Array[Double]): Array[Double] =
+  private def embedFeatures(x: Array[Double]): Array[Double] =
     matVec(w2, matVec(w1, x).map(math.tanh))
 
-  /** Embed a tuple given as (header, value) pairs. */
-  def embed(pairs: Seq[(String, String)]): Array[Double] = embedFeatures(base.features(pairs))
-
-  /** [[embed]] of every tuple, in order, as one batch call: tuples are
-    * embedded in parallel through one token table (`HashLm.batch`), each
-    * bit for bit as `embed` embeds it alone.
+  /** Embed tuples given as (header, value) pairs, in order, as one batch
+    * call: in parallel through one token table (`HashLm.batch`).
     */
   def embedAll(tuples: Seq[Seq[(String, String)]]): Vector[Array[Double]] =
     base.mapAll(tuples)(embedFeatures)
+
+  /** [[embedAll]] of one tuple: a batch of one. */
+  def embed(pairs: Seq[(String, String)]): Array[Double] = embedAll(Vector(pairs)).head
 }
 
 object DustModel {
@@ -87,7 +87,7 @@ object DustModel {
       cfg: TrainConfig = TrainConfig(),
   ): (DustModel, TrainStats) = {
     require(train.nonEmpty, "empty training set")
-    val dIn = base.dim
+    val dIn = HashLm.Dim
     val rng = new Rng(cfg.seed)
     def initMat(rows: Int, colsN: Int): Array[Array[Double]] =
       Array.fill(rows)(Array.fill(colsN)(rng.nextGaussian() / math.sqrt(colsN)))

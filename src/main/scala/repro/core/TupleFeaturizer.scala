@@ -9,15 +9,12 @@ import repro.embed.HashLm
   */
 final case class TupleFeaturizer(lm: HashLm, idf: Option[String => Double] = None) {
 
-  def dim: Int = HashLm.Dim
-
-  /** Feature vector of a tuple given as (header, value) pairs. */
-  def features(pairs: Seq[(String, String)]): Array[Double] = pool(lm, pairs)
-
-  /** [[features]] of every tuple, in order, as one batch call ([[HashLm.batch]]). */
+  /** The feature vector of every tuple, each given as (header, value)
+    * pairs, in order, as one batch call ([[HashLm.batch]]).
+    */
   def featuresAll(tuples: Seq[Seq[(String, String)]]): Vector[Array[Double]] = mapAll(tuples)(identity)
 
-  /** `head(features(t))` of every tuple `t`, in order; `head` runs inside
+  /** `head` of each tuple's feature vector, in order; `head` runs inside
     * the batch's parallel loop.
     */
   private[core] def mapAll(tuples: Seq[Seq[(String, String)]])(
@@ -26,7 +23,7 @@ final case class TupleFeaturizer(lm: HashLm, idf: Option[String => Double] = Non
     lm.batch(ts.size)((tokens, i) => head(pool(tokens, ts(i))))
   }
 
-  private def pool(tokens: HashLm.Pooling, pairs: Seq[(String, String)]): Array[Double] = {
+  private def pool(tokens: HashLm.TokenTable, pairs: Seq[(String, String)]): Array[Double] = {
     val toks = Serializer.tokens(pairs)
     idf match {
       case None    => tokens.embedTokens(toks)

@@ -11,19 +11,19 @@ import repro.util.{Rng, VecOps}
   */
 object Hashing {
 
-  /** Unit Gaussian vector for (salt, key); deterministic. */
-  def hashVec(key: String, salt: Long, dim: Int): Array[Double] = {
+  /** Unit Gaussian [[HashLm.Dim]]-vector for (salt, key); deterministic. */
+  def hashVec(key: String, salt: Long): Array[Double] = {
     val rng = new Rng(Rng.mix(salt, Rng.hashString(key)))
-    val v = Array.fill(dim)(rng.nextGaussian())
+    val v = Array.fill(HashLm.Dim)(rng.nextGaussian())
     VecOps.normalize(v)
   }
 
-  /** Character n-grams of a token with boundary markers (FastText-style). */
-  def charNgrams(token: String, minN: Int = 3, maxN: Int = 5): Vector[String] = {
+  /** Character 3- to 5-grams of a token with boundary markers (FastText-style). */
+  def charNgrams(token: String): Vector[String] = {
     val padded = s"<$token>"
     val out = Vector.newBuilder[String]
-    var n = minN
-    while (n <= maxN) {
+    var n = 3
+    while (n <= 5) {
       var i = 0
       while (i + n <= padded.length) { out += padded.substring(i, i + n); i += 1 }
       n += 1
@@ -33,8 +33,8 @@ object Hashing {
   }
 
   /** Mean of n-gram hash vectors — tokens sharing surface prefixes embed close. */
-  def ngramVec(token: String, salt: Long, dim: Int): Array[Double] = {
+  def ngramVec(token: String, salt: Long): Array[Double] = {
     val grams = charNgrams(token)
-    VecOps.normalize(VecOps.mean(grams.map(g => hashVec(g, salt, dim))))
+    VecOps.normalize(VecOps.mean(grams.map(g => hashVec(g, salt))))
   }
 }

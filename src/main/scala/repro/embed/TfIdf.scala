@@ -37,9 +37,6 @@ final class TfIdf(idf: Map[String, Double], nDocs: Int) {
     }
   }
 
-  def columnEmbeddings(embedder: ColumnEmbedder, table: SimpleTable): Vector[Array[Double]] =
-    columnEmbeddings(embedder, Vector(table)).head
-
   /** The same fitted corpus with an empty index, for timing the embedding
     * work a query does on a lake no earlier query has touched.
     */

@@ -12,7 +12,7 @@ import repro.util.VecOps
   */
 object D3L {
 
-  private val embedder = ColumnLevelEmbedder(HashLm.fastText)
+  private[search] val embedder = ColumnLevelEmbedder(HashLm.fastText)
 
   /** Jaccard overlap of value sets. */
   private[search] def valueOverlap(a: Seq[String], b: Seq[String]): Double = {
@@ -59,17 +59,15 @@ object D3L {
   }
 
   /** Table score: greedy best column matching over aggregated signals. */
-  def tableScore(q: SimpleTable, t: SimpleTable, tfidf: TfIdf): Double = {
-    val qEmb = tfidf.columnEmbeddings(embedder, q)
-    val tEmb = tfidf.columnEmbeddings(embedder, t)
+  def tableScore(q: SimpleTable, qEmb: IndexedSeq[Array[Double]], t: SimpleTable, tEmb: IndexedSeq[Array[Double]]): Double =
     UnionSearch.greedyMatch(q.nCols, t.nCols)((qj, tj) => columnScore(q, qj, t, tj, qEmb(qj), tEmb(tj)))
       .foldLeft(0.0)(_ + _._1) / q.nCols
-  }
 
+  /** Lake tables by descending score; one index read embeds what it misses. */
   def rankTables(query: SimpleTable, bench: LakeBenchmark, tfidf: TfIdf): Vector[UnionSearch.Scored] = {
-    tfidf.columnEmbeddings(embedder, query +: bench.lake) // index the lake in one batch
-    bench.lake
-      .map(t => UnionSearch.Scored(t, tableScore(query, t, tfidf)))
+    val embs = tfidf.columnEmbeddings(embedder, query +: bench.lake)
+    bench.lake.zip(embs.tail)
+      .map { case (t, tEmb) => UnionSearch.Scored(t, tableScore(query, embs.head, t, tEmb)) }
       .sortBy(s => (-s.score, s.table.name))
   }
 }

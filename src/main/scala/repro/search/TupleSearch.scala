@@ -14,13 +14,10 @@ object TupleSearch {
 
   private val lm = HashLm.starmieBase
 
-  /** Starmie's representation of a single-row table. */
-  def tupleEmbedding(t: UnionTuple): Array[Double] =
-    lm.embedTokens(Serializer.tokens(t.pairs))
-
   /** Top-k lake tuples by similarity to the query table, whose
-    * representation is the mean of its tuple embeddings. Query and lake
-    * tuples are embedded in one batch call.
+    * representation is the mean of its tuple embeddings (each tuple embedded
+    * as Starmie embeds a single-row table). Query and lake tuples are
+    * embedded in one batch call.
     */
   def topK(lakeTuples: Vector[UnionTuple], queryTuples: Vector[UnionTuple], k: Int): Vector[UnionTuple] = {
     val all = queryTuples ++ lakeTuples

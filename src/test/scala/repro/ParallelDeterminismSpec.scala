@@ -73,12 +73,14 @@ class ParallelDeterminismSpec extends SparkSpec {
         tables.indices.foreach(i => assert(sameBits(embs(i), reference(i)), s"${emb.name} pool($n) ${tables(i).name}"))
       }
     }
-    // Column-level pooling written out serially, column by column.
+    // Column-level pooling written out serially, column by column, from
+    // the model's token vectors.
     val lm = HashLm.roberta
     val serial = tables.map { t =>
       (0 until t.nCols).map { j =>
         val top = tfidf.topTokens(t.columnValues(j))
-        if (top.isEmpty) new Array[Double](HashLm.Dim) else lm.embedWeighted(top.map(_._1), top.map(_._2))
+        if (top.isEmpty) new Array[Double](HashLm.Dim)
+        else VecOps.normalize(VecOps.weightedMean(top.map(w => lm.tokenVec(w._1)), top.map(_._2)))
       }
     }
     onePoolAndEight(ColumnEmbedders.dustDefault.embedAll(tables, tfidf)).foreach { case (n, embs) =>

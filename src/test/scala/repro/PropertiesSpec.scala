@@ -98,7 +98,7 @@ class PropertiesSpec extends SparkSpec {
   test("property: hashed token vectors are unit norm") {
     samples(Gen.zip(Gen.alphaNumStr.suchThat(_.nonEmpty), Gen.chooseNum(1L, 99L)), 40).foreach {
       case (tok, salt) =>
-        val v = repro.embed.Hashing.hashVec(tok, salt, 16)
+        val v = repro.embed.Hashing.hashVec(tok, salt)
         assert(math.abs(VecOps.norm(v) - 1.0) < 1e-9)
     }
   }

@@ -8,17 +8,16 @@ class TupleFeaturizerSpec extends SparkSpec {
   private val f = TupleFeaturizer(HashLm.dustBase(HashLm.roberta))
 
   test("features have the model dimension") {
-    assert(f.features(Seq(("a", "b"))).length == f.dim)
+    assert(f.featuresAll(Seq(Seq(("a", "b")))).map(_.length) == Vector(HashLm.Dim))
   }
 
   test("features are order-invariant over columns (bag pooling)") {
-    val a = f.features(Seq(("h1", "v1"), ("h2", "v2")))
-    val b = f.features(Seq(("h2", "v2"), ("h1", "v1")))
+    val Seq(a, b) = f.featuresAll(Seq(Seq(("h1", "v1"), ("h2", "v2")), Seq(("h2", "v2"), ("h1", "v1"))))
     assert(VecOps.cosineSim(a, b) > 0.999)
   }
 
   test("features of an empty tuple are the zero vector") {
-    assert(f.features(Nil).forall(_ == 0.0))
+    assert(f.featuresAll(Seq(Nil)).head.forall(_ == 0.0))
   }
 
   test("same-topic tuples are closer than cross-topic ones") {
@@ -32,12 +31,12 @@ class TupleFeaturizerSpec extends SparkSpec {
   test("IDF weighting changes the embedding") {
     val idf: String => Double = tok => if (tok.startsWith("com")) 0.01 else 1.0
     val fw = TupleFeaturizer(HashLm.dustBase(HashLm.roberta), idf = Some(idf))
-    val pairs = Seq(("h", "t0c0v1 com5"))
-    assert(VecOps.cosineSim(f.features(pairs), fw.features(pairs)) < 0.9999)
+    val pairs = Seq(Seq(("h", "t0c0v1 com5")))
+    assert(VecOps.cosineSim(f.featuresAll(pairs).head, fw.featuresAll(pairs).head) < 0.9999)
   }
 
   test("cosDist of a tuple with itself is zero") {
-    val p = Seq(("h", "v"))
-    assert(math.abs(VecOps.cosineDist(f.features(p), f.features(p))) < 1e-9)
+    val Seq(a, b) = f.featuresAll(Seq(Seq(("h", "v")), Seq(("h", "v"))))
+    assert(math.abs(VecOps.cosineDist(a, b)) < 1e-9)
   }
 }

@@ -1,9 +1,15 @@
 package repro.embed
 
+import scala.reflect.ClassTag
 import repro.SparkSpec
+import repro.data.Tokenizer
 import repro.util.VecOps
 
 class TextModelsSpec extends SparkSpec {
+
+  /** `f` on the token table of a one-element batch of `lm`. */
+  private def pooled[A: ClassTag](lm: HashLm)(f: HashLm.TokenTable => A): A =
+    lm.batch(1)((table, _) => f(table)).head
 
   test("tokenVec is unit-norm") {
     HashLm.all.foreach { lm =>
@@ -34,8 +40,8 @@ class TextModelsSpec extends SparkSpec {
 
   test("anisotropic models put all tuples in a narrow cone") {
     val lm = HashLm.bert
-    val sims = for (i <- 0 until 50) yield
-      VecOps.cosineSim(lm.embedText(s"t${i}c0v1 t${i}c1v2"), lm.embedText(s"t${i + 50}c0v7"))
+    val sims = pooled(lm)(table => (0 until 50).map(i =>
+      VecOps.cosineSim(table.embedText(s"t${i}c0v1 t${i}c1v2"), table.embedText(s"t${i + 50}c0v7"))))
     assert(sims.min > 0.3) // everything looks "unionable" at the 0.7 dist threshold
   }
 
@@ -46,25 +52,26 @@ class TextModelsSpec extends SparkSpec {
   }
 
   test("embedTokens of empty sequence is the zero vector") {
-    assert(HashLm.bert.embedTokens(Nil).forall(_ == 0.0))
+    assert(pooled(HashLm.bert)(_.embedTokens(Nil)).forall(_ == 0.0))
   }
 
   test("embedTokens pools all tokens") {
     val lm = HashLm.glove
-    val v = lm.embedTokens(Seq("a", "b"))
+    val v = pooled(lm)(_.embedTokens(Seq("a", "b")))
     val m = VecOps.normalize(VecOps.mean(Seq(lm.tokenVec("a"), lm.tokenVec("b"))))
     assert(VecOps.cosineSim(v, m) > 0.999)
   }
 
   test("embedWeighted favors heavier tokens") {
     val lm = HashLm.glove
-    val v = lm.embedWeighted(Seq("a", "b"), Seq(10.0, 0.1))
+    val v = pooled(lm)(_.embedWeighted(Seq("a", "b"), Seq(10.0, 0.1)))
     assert(VecOps.cosineSim(v, lm.tokenVec("a")) > VecOps.cosineSim(v, lm.tokenVec("b")))
   }
 
   test("embedText tokenizes then pools") {
     val lm = HashLm.sbert
-    assert(VecOps.cosineSim(lm.embedText("Alpha Beta"), lm.embedTokens(Seq("alpha", "beta"))) > 0.999)
+    val (text, tokens) = pooled(lm)(table => (table.embedText("Alpha Beta"), table.embedTokens(Seq("alpha", "beta"))))
+    assert(VecOps.cosineSim(text, tokens) > 0.999)
   }
 
   test("fastText uses char n-grams: shared-prefix tokens closer than for glove") {
@@ -79,13 +86,19 @@ class TextModelsSpec extends SparkSpec {
     val lm = HashLm.roberta
     val texts = Vector(Seq("a", "b", "a"), Seq("b", "c"), Seq("a"), Seq("c", "c", "b"), Nil)
     def weights(toks: Seq[String]) = toks.indices.map(_ + 1.0)
-    val pooled = lm.batch(texts.size) { (table, i) =>
+    val out = lm.batch(texts.size) { (table, i) =>
       (table.embedTokens(texts(i)), table.embedWeighted(texts(i), weights(texts(i))), table.embedText(texts(i).mkString(" ")))
     }
-    texts.zip(pooled).foreach { case (toks, (mean, weighted, text)) =>
-      assert(java.util.Arrays.equals(mean, lm.embedTokens(toks)))
-      assert(java.util.Arrays.equals(weighted, lm.embedWeighted(toks, weights(toks))))
-      assert(java.util.Arrays.equals(text, lm.embedText(toks.mkString(" "))))
+    // The pooling definitions, written out over the model's token vectors.
+    def mean(toks: Seq[String]) =
+      if (toks.isEmpty) new Array[Double](HashLm.Dim) else VecOps.normalize(VecOps.mean(toks.map(lm.tokenVec)))
+    def weighted(toks: Seq[String]) =
+      if (toks.isEmpty) new Array[Double](HashLm.Dim)
+      else VecOps.normalize(VecOps.weightedMean(toks.map(lm.tokenVec), weights(toks)))
+    texts.zip(out).foreach { case (toks, (m, w, text)) =>
+      assert(java.util.Arrays.equals(m, mean(toks)))
+      assert(java.util.Arrays.equals(w, weighted(toks)))
+      assert(java.util.Arrays.equals(text, mean(Tokenizer.tokens(toks.mkString(" ")))))
     }
   }
 

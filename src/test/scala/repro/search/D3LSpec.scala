@@ -35,7 +35,8 @@ class D3LSpec extends SparkSpec {
   test("tableScore favors same-base tables") {
     val same = bench.unionableFor(q).head
     val diff = bench.lake.find(_.baseId != q.baseId).get
-    assert(D3L.tableScore(q, same, tfidf) > D3L.tableScore(q, diff, tfidf))
+    val Seq(qEmb, sameEmb, diffEmb) = tfidf.columnEmbeddings(D3L.embedder, Vector(q, same, diff))
+    assert(D3L.tableScore(q, qEmb, same, sameEmb) > D3L.tableScore(q, qEmb, diff, diffEmb))
   }
 
   test("rankTables is descending and complete") {

@@ -35,10 +35,4 @@ class TupleSearchSpec extends SparkSpec {
     val b = TupleSearch.topK(lakeTuples, queryTuples, 5).map(_.id)
     assert(a == b)
   }
-
-  test("tuple embedding is unit-scale and deterministic") {
-    val e1 = TupleSearch.tupleEmbedding(lakeTuples.head)
-    val e2 = TupleSearch.tupleEmbedding(lakeTuples.head)
-    assert(e1.toSeq == e2.toSeq)
-  }
 }
