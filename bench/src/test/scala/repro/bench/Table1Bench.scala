@@ -18,11 +18,6 @@ class Table1Bench extends AnyFunSuite {
               |Starmie(B) .41, Starmie(H) .55; SANTOS: .70 .71 .60 .66 .69 .66 .76 .76 .32 .18;
               |UGEN: .43 .43 .44 .53 .52 .47 .58 .58 .24 .57.""".stripMargin)
 
-    val times = rows.groupBy(_.benchmark).view.mapValues(rs =>
-      rs.map(_.avgTimeMs).sum / rs.size).toMap
-    println(s"Average per-query alignment time (ms) by benchmark: " +
-      times.map { case (b, t) => f"$b=$t%.1f" }.mkString(", "))
-
     def f1(model: String, group: String, bench: String): Double =
       rows.find(r => r.model == model && r.serialization == group && r.benchmark == bench).get.f1
 

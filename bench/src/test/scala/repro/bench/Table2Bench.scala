@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{Benchmarks, DiversityWins, Table2Experiment}
+import repro.exp.{Benchmarks, Table2Experiment}
 
 /** Table 2 — tuple diversification effectiveness and efficiency. */
 class Table2Bench extends AnyFunSuite {
@@ -10,12 +10,7 @@ class Table2Bench extends AnyFunSuite {
     val santos = Table2Experiment.run(Benchmarks.santos, Benchmarks.santosK, includeGne = false)
     val ugen = Table2Experiment.run(Benchmarks.ugen, Benchmarks.ugenK, includeGne = true)
     println("\n=== Table 2: Diversification algorithms (lite benchmarks) ===")
-    println(DiversityWins.render(Seq(santos, ugen)))
-    println(s"Random-baseline sanity (paper Sec. 6.4.3): DUST beats best-of-5 random " +
-      s"on SANTOS for ${santos.dustBeatsRandomAvg}/${santos.nQueries} (Avg) and " +
-      s"${santos.dustBeatsRandomMin}/${santos.nQueries} (Min) queries; " +
-      s"UGEN ${ugen.dustBeatsRandomAvg}/${ugen.nQueries} (Avg), " +
-      s"${ugen.dustBeatsRandomMin}/${ugen.nQueries} (Min).")
+    println(Table2Experiment.render(santos, ugen))
     println("""Paper: SANTOS - GMC #Avg 23 #Min 1 556s; GNE -; CLT 0/0 82s; DUST 27/49 85s.
               |UGEN - GMC 3/2 <1s; GNE 0/0 81s; CLT 18/12 <1s; DUST 27/34 <1s.""".stripMargin)
 

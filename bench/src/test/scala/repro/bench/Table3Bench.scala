@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{Benchmarks, DiversityWins, Table3Experiment}
+import repro.exp.{Benchmarks, Table3Experiment}
 
 /** Table 3 — DUST against table union search techniques (and the LLM). */
 class Table3Bench extends AnyFunSuite {
@@ -10,11 +10,7 @@ class Table3Bench extends AnyFunSuite {
     val santos = Table3Experiment.run(Benchmarks.santos, Benchmarks.santosK)
     val ugen = Table3Experiment.run(Benchmarks.ugen, Benchmarks.ugenK)
     println("\n=== Table 3: DUST vs table search techniques (lite benchmarks) ===")
-    println(DiversityWins.render(Seq(santos, ugen)))
-    println(f"Starmie table-search MAP: SANTOS ${santos.starmieMap}%.2f " +
-      f"(paper 0.78), UGEN ${ugen.starmieMap}%.2f (paper 0.64).")
-    println(f"DUST's selected tuples from tables outside the query's ground truth: " +
-      f"SANTOS ${santos.dustOffBase * 100}%.0f%%, UGEN ${ugen.dustOffBase * 100}%.0f%%.")
+    println(Table3Experiment.render(santos, ugen))
     println("""Paper: SANTOS - Starmie 5/1, LLM -, DUST 45/49.
               |UGEN - Starmie 11/2, LLM 14/21, DUST 23/25.""".stripMargin)
 

@@ -30,10 +30,8 @@ object Fig5Job {
 
 /** Table 1 — column alignment effectiveness. */
 object Table1Job {
-  def main(args: Array[String]): Unit = {
-    val rows = Table1Experiment.run(Seq(Benchmarks.tusSampled, Benchmarks.santos, Benchmarks.ugen))
-    println(Table1Experiment.render(rows))
-  }
+  def main(args: Array[String]): Unit =
+    println(Table1Experiment.render(Table1Experiment.run(Seq(Benchmarks.tusSampled, Benchmarks.santos, Benchmarks.ugen))))
 }
 
 /** Fig 6 — tuple representation accuracy. */
@@ -45,22 +43,18 @@ object Fig6Job {
 /** Table 2 — diversification effectiveness/efficiency. */
 object Table2Job {
   def main(args: Array[String]): Unit = {
-    val rs = Seq(
-      Table2Experiment.run(Benchmarks.santos, Benchmarks.santosK, includeGne = false),
-      Table2Experiment.run(Benchmarks.ugen, Benchmarks.ugenK, includeGne = true),
-    )
-    println(DiversityWins.render(rs))
+    val santos = Table2Experiment.run(Benchmarks.santos, Benchmarks.santosK, includeGne = false)
+    val ugen = Table2Experiment.run(Benchmarks.ugen, Benchmarks.ugenK, includeGne = true)
+    println(Table2Experiment.render(santos, ugen))
   }
 }
 
 /** Table 3 — DUST vs table search techniques. */
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    val rs = Seq(
-      Table3Experiment.run(Benchmarks.santos, Benchmarks.santosK),
-      Table3Experiment.run(Benchmarks.ugen, Benchmarks.ugenK),
-    )
-    println(DiversityWins.render(rs))
+    val santos = Table3Experiment.run(Benchmarks.santos, Benchmarks.santosK)
+    val ugen = Table3Experiment.run(Benchmarks.ugen, Benchmarks.ugenK)
+    println(Table3Experiment.render(santos, ugen))
   }
 }
 

@@ -32,28 +32,29 @@ object ScalingExperiment {
 
   final case class TimingRow(method: String, s: Int, k: Int, millis: Double)
 
-  /** Fig 7(a): vary the candidate count s at fixed k. */
-  def varyS(sValues: Seq[Int], k: Int): Vector[TimingRow] = {
+  /** One row per (candidates, k) configuration and method, in order. Each
+    * method first runs once, untimed, on the first configuration, so JIT
+    * warm-up lands in no row.
+    */
+  private def timings(configs: Seq[(Vector[EmbTuple], Int)]): Vector[TimingRow] = {
     val query = queryCloud(40)
-    sValues.toVector.flatMap { s =>
-      val cands = cloud(s)
-      Vector[DivAlgo](Gmc(), Clt(), DustDiv()).map { a =>
+    val algos = Vector[DivAlgo](Gmc(), Clt(), DustDiv())
+    configs.headOption.foreach { case (cands, k) => algos.foreach(_.select(cands, query, k)) }
+    configs.toVector.flatMap { case (cands, k) =>
+      algos.map { a =>
         val (_, ns) = Fmt.timed(a.select(cands, query, k))
-        TimingRow(a.name, s, k, ns / 1e6)
+        TimingRow(a.name, cands.size, k, ns / 1e6)
       }
     }
   }
 
+  /** Fig 7(a): vary the candidate count s at fixed k. */
+  def varyS(sValues: Seq[Int], k: Int): Vector[TimingRow] = timings(sValues.map(s => (cloud(s), k)))
+
   /** Fig 7(b): vary the output size k at fixed s. */
   def varyK(kValues: Seq[Int], s: Int): Vector[TimingRow] = {
-    val query = queryCloud(40)
     val cands = cloud(s)
-    kValues.toVector.flatMap { k =>
-      Vector[DivAlgo](Gmc(), Clt(), DustDiv()).map { a =>
-        val (_, ns) = Fmt.timed(a.select(cands, query, k))
-        TimingRow(a.name, s, k, ns / 1e6)
-      }
-    }
+    timings(kValues.map(k => (cands, k)))
   }
 
   /** A.2.3: DUST runtime with and without pruning (same selection quality

@@ -63,7 +63,10 @@ object Table1Experiment {
   def run(benches: Seq[LakeBenchmark]): Vector[Row] =
     (for { b <- benches; m <- methods } yield evalMethod(m, b)).toVector
 
+  /** The P/R/F1 table, then each benchmark's mean per-query alignment time. */
   def render(rows: Seq[Row]): String = {
+    val times = rows.groupBy(_.benchmark).view.mapValues(rs =>
+      rs.map(_.avgTimeMs).sum / rs.size).toMap
     val benches = rows.map(_.benchmark).distinct
     val header = Seq("Serialization", "Model") ++
       benches.flatMap(b => Seq(s"$b P", s"$b R", s"$b F1"))
@@ -74,6 +77,8 @@ object Table1Experiment {
       }
       Seq(m.group, m.display) ++ cells
     }
-    Fmt.table(header, lines)
+    Fmt.table(header, lines) + "\n" +
+      s"Average per-query alignment time (ms) by benchmark: " +
+      times.map { case (b, t) => f"$b=$t%.1f" }.mkString(", ")
   }
 }

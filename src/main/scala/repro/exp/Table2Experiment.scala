@@ -65,4 +65,13 @@ object Table2Experiment {
     BenchResult(bench.name, DiversityWins.tally(methods.map(_.name), perQuery),
       dustBeatsRandomAvg, dustBeatsRandomMin, insts.size)
   }
+
+  /** The wins table of both benchmarks, then the random-baseline check. */
+  def render(santos: BenchResult, ugen: BenchResult): String =
+    DiversityWins.render(Seq(santos, ugen)) + "\n" +
+      s"Random-baseline sanity (paper Sec. 6.4.3): DUST beats best-of-5 random " +
+      s"on SANTOS for ${santos.dustBeatsRandomAvg}/${santos.nQueries} (Avg) and " +
+      s"${santos.dustBeatsRandomMin}/${santos.nQueries} (Min) queries; " +
+      s"UGEN ${ugen.dustBeatsRandomAvg}/${ugen.nQueries} (Avg), " +
+      s"${ugen.dustBeatsRandomMin}/${ugen.nQueries} (Min)."
 }

@@ -60,4 +60,12 @@ object Table3Experiment {
       perQuery.map(_._2).foldLeft(0.0)(_ + _) / math.max(1, n),
       perQuery.map(_._3).sum.toDouble / math.max(1, perQuery.map(_._4).sum), n)
   }
+
+  /** The wins table, then Starmie's MAP and DUST's off-base share. */
+  def render(santos: BenchResult, ugen: BenchResult): String =
+    DiversityWins.render(Seq(santos, ugen)) + "\n" +
+      f"Starmie table-search MAP: SANTOS ${santos.starmieMap}%.2f " +
+      f"(paper 0.78), UGEN ${ugen.starmieMap}%.2f (paper 0.64)." + "\n" +
+      f"DUST's selected tuples from tables outside the query's ground truth: " +
+      f"SANTOS ${santos.dustOffBase * 100}%.0f%%, UGEN ${ugen.dustOffBase * 100}%.0f%%."
 }

@@ -1,7 +1,9 @@
 package repro.search
 
+import java.lang.Double.doubleToRawLongBits
 import repro.SparkSpec
-import repro.data.Generators
+import repro.data.{Generators, LakeBenchmark}
+import repro.embed.TfIdf
 import repro.exp.Benchmarks
 
 class D3LSpec extends SparkSpec {
@@ -37,6 +39,25 @@ class D3LSpec extends SparkSpec {
     val diff = bench.lake.find(_.baseId != q.baseId).get
     val Seq(qEmb, sameEmb, diffEmb) = tfidf.columnEmbeddings(D3L.embedder, Vector(q, same, diff))
     assert(D3L.tableScore(q, qEmb, same, sameEmb) > D3L.tableScore(q, qEmb, diff, diffEmb))
+  }
+
+  test("rankTables reads the index once and gives the per-table reads' order and scores, bit for bit") {
+    val (imdbQuery, imdbLake) = Generators.imdbLite
+    val inputs = Seq(
+      (q, bench, TfIdf.fit(bench.lake ++ bench.queries)),
+      (imdbQuery, LakeBenchmark("IMDB-lite", Vector(imdbQuery), imdbLake), TfIdf.fit(imdbLake :+ imdbQuery)),
+    )
+    inputs.foreach { case (query, b, fitted) =>
+      // Each lake table scored from its own read of the index.
+      val perTable = fitted.withEmptyIndex()
+      val reference = b.lake.map { t =>
+        val Seq(qEmb, tEmb) = perTable.columnEmbeddings(D3L.embedder, Vector(query, t))
+        UnionSearch.Scored(t, D3L.tableScore(query, qEmb, t, tEmb))
+      }.sortBy(s => (-s.score, s.table.name))
+      val ranked = D3L.rankTables(query, b, fitted.withEmptyIndex())
+      assert(ranked.map(_.table.name) == reference.map(_.table.name), b.name)
+      assert(ranked.map(s => doubleToRawLongBits(s.score)) == reference.map(s => doubleToRawLongBits(s.score)), b.name)
+    }
   }
 
   test("rankTables is descending and complete") {
