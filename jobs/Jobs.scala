@@ -30,8 +30,10 @@ object Fig5Job {
 
 /** Table 1 — column alignment effectiveness. */
 object Table1Job {
-  def main(args: Array[String]): Unit =
-    println(Table1Experiment.render(Table1Experiment.run(Seq(Benchmarks.tusSampled, Benchmarks.santos, Benchmarks.ugen))))
+  def main(args: Array[String]): Unit = {
+    val rows = Table1Experiment.run(Seq(Benchmarks.tusSampled, Benchmarks.santos, Benchmarks.ugen))
+    println(Table1Experiment.render(rows))
+  }
 }
 
 /** Fig 6 — tuple representation accuracy. */

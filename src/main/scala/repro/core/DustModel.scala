@@ -31,7 +31,7 @@ final class DustModel(
   def embedAll(tuples: Seq[Seq[(String, String)]]): Vector[Array[Double]] =
     base.mapAll(tuples)(embedFeatures)
 
-  /** [[embedAll]] of one tuple: a batch of one. */
+  /** [[embedAll]] of one tuple: a batch of one (dustbench's traced mode calls it). */
   def embed(pairs: Seq[(String, String)]): Array[Double] = embedAll(Vector(pairs)).head
 }
 

@@ -65,8 +65,6 @@ object Table1Experiment {
 
   /** The P/R/F1 table, then each benchmark's mean per-query alignment time. */
   def render(rows: Seq[Row]): String = {
-    val times = rows.groupBy(_.benchmark).view.mapValues(rs =>
-      rs.map(_.avgTimeMs).sum / rs.size).toMap
     val benches = rows.map(_.benchmark).distinct
     val header = Seq("Serialization", "Model") ++
       benches.flatMap(b => Seq(s"$b P", s"$b R", s"$b F1"))
@@ -77,8 +75,10 @@ object Table1Experiment {
       }
       Seq(m.group, m.display) ++ cells
     }
-    Fmt.table(header, lines) + "\n" +
-      s"Average per-query alignment time (ms) by benchmark: " +
-      times.map { case (b, t) => f"$b=$t%.1f" }.mkString(", ")
+    val times = benches.map { b =>
+      val rs = rows.filter(_.benchmark == b)
+      f"$b=${rs.map(_.avgTimeMs).sum / rs.size}%.1f"
+    }
+    Fmt.table(header, lines) + "\nAverage per-query alignment time (ms) by benchmark: " + times.mkString(", ")
   }
 }
