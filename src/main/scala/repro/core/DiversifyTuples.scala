@@ -50,9 +50,19 @@ object DiversifyTuples {
     * both score a table through this.
     */
   private def tableScores(vecs: Vector[Array[Double]]): Vector[Double] = {
-    val mean = VecOps.mean(vecs)
-    vecs.map(VecOps.cosineDist(mean, _))
+    val mean = normed(VecOps.mean(vecs))
+    vecs.map(v => dist(mean, normed(v)))
   }
+
+  /** A vector with its norm, taken once, so that [[dist]] is one dot
+    * product per pair.
+    */
+  private final case class Normed(vec: Array[Double], norm: Double)
+
+  private def normed(v: Array[Double]): Normed = Normed(v, VecOps.norm(v))
+
+  /** `VecOps.cosineDist(a.vec, b.vec)`, bit for bit. */
+  private def dist(a: Normed, b: Normed): Double = VecOps.cosineDist(a.vec, a.norm, b.vec, b.norm)
 
   /** §5.2 — cluster into `nClusters` and return each cluster's medoid. One
     * distance store serves both the UPGMA cut and the medoids.
@@ -60,7 +70,7 @@ object DiversifyTuples {
   def clusterMedoids(cands: Vector[EmbTuple], nClusters: Int): Vector[EmbTuple] = {
     if (cands.isEmpty) return cands
     val m = math.min(nClusters, cands.size)
-    val d = Hac.distMatrix(cands.map(_.vec), VecOps.cosineDist)
+    val d = Hac.distMatrix(cands.map(t => normed(t.vec)), dist)
     val labels = Hac.upgma(d).cut(m)
     cands.indices
       .groupBy(labels(_))
@@ -74,9 +84,10 @@ object DiversifyTuples {
   /** §5.3 — rank by (min distance to query desc, avg distance desc, id asc). */
   def rerank(cands: Vector[EmbTuple], query: Seq[Array[Double]], k: Int): Vector[EmbTuple] = {
     require(query.nonEmpty, "rerank needs query tuples")
+    val qs = query.toVector.map(normed)
     cands
       .map { t =>
-        val (mn, avg) = queryDistance(t.vec, query)
+        val (mn, avg) = queryDistance(t.vec, qs)
         (t, mn, avg)
       }
       .sortBy { case (t, mn, avg) => (-mn, -avg, t.id) }
@@ -84,10 +95,20 @@ object DiversifyTuples {
       .map(_._1)
   }
 
-  /** Min and average distance from `v` to the query tuples, summed in query order. */
-  private def queryDistance(v: Array[Double], query: Seq[Array[Double]]): (Double, Double) = {
-    val ds = query.map(q => VecOps.cosineDist(v, q))
-    (ds.min, ds.sum / ds.size)
+  /** Min and average distance from `v` to the query tuples, summed in query
+    * order. The min orders by `Double.compare`, as `Seq.min` on doubles does.
+    */
+  private def queryDistance(v: Array[Double], query: Vector[Normed]): (Double, Double) = {
+    val nv = normed(v)
+    var mn = dist(nv, query(0)); var sum = mn
+    var i = 1
+    while (i < query.size) {
+      val d = dist(nv, query(i))
+      if (java.lang.Double.compare(d, mn) < 0) mn = d
+      sum += d
+      i += 1
+    }
+    (mn, sum / query.size)
   }
 
   /** Full Algorithm 2 on the driver. */
@@ -139,7 +160,8 @@ object DiversifyTuples {
     */
   def sparkRerank(spark: SparkSession, candDf: DataFrame, queryDf: DataFrame, k: Int): DataFrame = {
     import spark.implicits._
-    val query = queryDf.select("id", "vec").as[(Long, Array[Double])].collect().sortBy(_._1).toVector.map(_._2)
+    val query = queryDf.select("id", "vec").as[(Long, Array[Double])].collect().sortBy(_._1).toVector
+      .map(q => normed(q._2))
     require(query.nonEmpty, "rerank needs query tuples")
     val top = candDf.select("id", "table", "vec").as[(Long, String, Array[Double])]
       .map { case (id, table, vec) =>

@@ -43,19 +43,22 @@ object Dust {
     * (`DustModel.embedAll`).
     */
   def embedTuples(model: DustModel, tuples: Seq[OuterUnion.UnionTuple]): Vector[DiversifyTuples.EmbTuple] =
-    tuples.toVector.zip(model.embedAll(tuples.map(_.pairs))).map { case (t, v) =>
-      DiversifyTuples.EmbTuple(t.id, t.table, v)
-    }
+    withVecs(tuples, model.embedAll(tuples.map(_.pairs)))
+
+  private def withVecs(tuples: Seq[OuterUnion.UnionTuple], vecs: Seq[Array[Double]]): Vector[DiversifyTuples.EmbTuple] =
+    tuples.toVector.zip(vecs).map { case (t, v) => DiversifyTuples.EmbTuple(t.id, t.table, v) }
 
   /** Algorithm 1 over a given table set: AlignColumns (with
-    * [[ColumnEmbedders.dustDefault]]) → OuterUnion → EmbedTuples.
+    * [[ColumnEmbedders.dustDefault]]) → OuterUnion → EmbedTuples. The query
+    * tuples and the union's tuples are embedded in one batch call, so a
+    * tuple that occurs in both is embedded once and shares its array.
     */
   def prepare(query: SimpleTable, tables: Vector[SimpleTable], model: DustModel, tfidf: TfIdf): Result = {
     val aligned = ColumnAlignment.alignHolistic(query, tables, ColumnEmbedders.dustDefault, tfidf)
     val lakeTuples = OuterUnion.union(query, tables, aligned)
     val queryTuples = OuterUnion.queryTuples(query)
-    val lakeEmb = embedTuples(model, lakeTuples)
-    Result(tables, aligned, queryTuples, lakeTuples, model.embedAll(queryTuples.map(_.pairs)), Vector.empty, lakeEmb)
+    val (queryEmb, lakeVecs) = model.embedAll((queryTuples ++ lakeTuples).map(_.pairs)).splitAt(queryTuples.size)
+    Result(tables, aligned, queryTuples, lakeTuples, queryEmb, Vector.empty, withVecs(lakeTuples, lakeVecs))
   }
 
   /** Algorithm 2 on the driver over a prepared union: prune, cluster,

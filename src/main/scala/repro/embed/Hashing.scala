@@ -33,8 +33,11 @@ object Hashing {
   }
 
   /** Mean of n-gram hash vectors — tokens sharing surface prefixes embed close. */
-  def ngramVec(token: String, salt: Long): Array[Double] = {
-    val grams = charNgrams(token)
-    VecOps.normalize(VecOps.mean(grams.map(g => hashVec(g, salt))))
-  }
+  def ngramVec(token: String, salt: Long): Array[Double] = ngramVec(token)(hashVec(_, salt))
+
+  /** [[ngramVec]] with each n-gram's vector drawn by `hash`, which must
+    * return `hashVec(gram, salt)`: the mean runs in n-gram order either way.
+    */
+  def ngramVec(token: String)(hash: String => Array[Double]): Array[Double] =
+    VecOps.normalize(VecOps.mean(charNgrams(token).map(hash)))
 }

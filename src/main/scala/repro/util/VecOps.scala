@@ -26,11 +26,14 @@ object VecOps {
     * every x: exactly for the zero vector, and up to rounding otherwise. A
     * zero vector is at distance 1 from every non-zero vector.
     */
-  def cosineDist(a: Array[Double], b: Array[Double]): Double = {
-    val na = norm(a); val nb = norm(b)
+  def cosineDist(a: Array[Double], b: Array[Double]): Double = cosineDist(a, norm(a), b, norm(b))
+
+  /** [[cosineDist]] given `na = norm(a)` and `nb = norm(b)`: one dot
+    * product per pair when a caller takes each norm once, with the same bits.
+    */
+  def cosineDist(a: Array[Double], na: Double, b: Array[Double], nb: Double): Double =
     if (na == 0.0 || nb == 0.0) { if (na == nb) 0.0 else 1.0 }
     else 1.0 - dot(a, b) / (na * nb)
-  }
 
   def euclidean(a: Array[Double], b: Array[Double]): Double = {
     require(a.length == b.length, s"dim mismatch ${a.length} vs ${b.length}")

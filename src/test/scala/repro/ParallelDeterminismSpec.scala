@@ -62,6 +62,23 @@ class ParallelDeterminismSpec extends SparkSpec {
     }
   }
 
+  test("embedAll on repeated and permuted tuples equals embed per tuple on 1 and 8 workers") {
+    val b = Generators.ugenLite
+    val q = b.queries.head
+    val base = (OuterUnion.queryTuples(q) ++ b.unionableFor(q).flatMap(OuterUnion.queryTuples)).map(_.pairs).take(200)
+    val rng = new Rng(41)
+    val copies = Vector.fill(120)(base(rng.nextInt(base.size)))
+    // A tuple whose pairs, reversed, pool to other bits: a copy by multiset
+    // that is not a copy by sequence.
+    val permuted = base.find(p => p.size >= 3 && !sameBits(model.embed(p.reverse), model.embed(p))).get.reverse
+    val batch = rng.shuffle(base ++ copies) :+ permuted
+    assert(batch.size - batch.distinct.size >= 0.3 * batch.size)
+    val reference = batch.map(model.embed)
+    onePoolAndEight(model.embedAll(batch)).foreach { case (n, embs) =>
+      assert(sameBits(embs, reference), s"pool($n)")
+    }
+  }
+
   test("embedAll equals one table at a time on one worker for every Table 1 embedder") {
     val b = Benchmarks.santos
     val tables = b.lake ++ b.queries

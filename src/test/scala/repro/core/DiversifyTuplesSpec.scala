@@ -122,6 +122,55 @@ class DiversifyTuplesSpec extends SparkSpec {
     assert(out.map(_.id).distinct.size == 10)
   }
 
+  test("prune, clusterMedoids and rerank equal a two-argument cosineDist reference on tie-heavy input") {
+    import repro.cluster.Hac
+    def refPrune(ts: Vector[EmbTuple], s: Int): Vector[EmbTuple] =
+      if (ts.size <= s) ts
+      else ts.groupBy(_.table).valuesIterator.flatMap { g =>
+        val mean = VecOps.mean(g.map(_.vec))
+        g.map(t => (t, VecOps.cosineDist(mean, t.vec)))
+      }.toVector.sortBy { case (t, d) => (-d, t.id) }.take(s).map(_._1)
+    def refMedoids(cs: Vector[EmbTuple], m: Int): Vector[EmbTuple] =
+      if (cs.isEmpty) cs
+      else {
+        val vecs = cs.map(_.vec)
+        val labels = Hac.upgma(Hac.distMatrix(vecs, VecOps.cosineDist)).cut(math.min(m, cs.size))
+        cs.indices.groupBy(labels(_)).toVector.sortBy(_._1).map { case (_, members) =>
+          cs(members(VecOps.medoidIndex(members.map(vecs(_)), VecOps.cosineDist)))
+        }
+      }
+    def refRerank(cs: Vector[EmbTuple], query: Seq[Array[Double]], k: Int): Vector[EmbTuple] =
+      cs.map { t =>
+        val ds = query.map(VecOps.cosineDist(t.vec, _))
+        (t, ds.min, ds.sum / ds.size)
+      }.sortBy { case (t, mn, avg) => (-mn, -avg, t.id) }.take(k).map(_._1)
+
+    val rng = new Rng(29)
+    for (trial <- 0 until 12) {
+      // Few prototypes, each copied many times across few tables, plus zero
+      // vectors and -0.0 entries; the query holds copies of candidates, so
+      // distance-0 ties reach the re-rank's min and average.
+      val dim = 2 + trial % 7
+      val protos = Vector.fill(3 + trial)(Array.tabulate(dim)(i => if (i == trial % dim) -0.0 else rng.nextGaussian())) ++
+        Vector(new Array[Double](dim), Array.fill(dim)(-0.0))
+      val n = 60 + 20 * trial
+      val ts = (0 until n).toVector.map(i =>
+        EmbTuple(i.toLong, s"t${rng.nextInt(1 + trial % 4)}", protos(rng.nextInt(protos.size))))
+      val query = Vector.fill(1 + trial % 5)(protos(rng.nextInt(protos.size))) :+ ts(rng.nextInt(n)).vec
+      val s = n / 2 + trial
+      val pruned = DiversifyTuples.prune(ts, s)
+      assert(pruned.map(_.id) == refPrune(ts, s).map(_.id), s"prune trial $trial")
+      for (m <- Seq(1, 4, 2 + trial, s)) {
+        val medoids = DiversifyTuples.clusterMedoids(pruned, m)
+        assert(medoids.map(_.id) == refMedoids(pruned, m).map(_.id), s"clusterMedoids trial $trial m=$m")
+        for (k <- Seq(1, 3, medoids.size))
+          assert(DiversifyTuples.rerank(medoids, query, k).map(_.id) == refRerank(medoids, query, k).map(_.id),
+            s"rerank trial $trial m=$m k=$k")
+      }
+      assert(DiversifyTuples.rerank(ts, query, n).map(_.id) == refRerank(ts, query, n).map(_.id), s"rerank trial $trial")
+    }
+  }
+
   // ---------------- Spark dataflow equivalence + oracle ----------------
 
   test("sparkPrune selects the same ids as the driver prune") {

@@ -67,6 +67,18 @@ class EmbeddingReuseSpec extends SparkSpec {
     }
   }
 
+  test("Dust.prepare's query and lake embeddings equal two separate embedAll calls") {
+    benches.foreach { case (b, _) =>
+      val tfidf = fit(b)
+      b.queries.foreach { q =>
+        val u = Dust.prepare(q, b.unionableFor(q), model, tfidf)
+        assert(bits(u.queryEmb) == bits(model.embedAll(u.queryTuples.map(_.pairs))), s"${b.name}/${q.name}")
+        assert(bits(u.lakeEmb.map(_.vec)) == bits(model.embedAll(u.lakeTuples.map(_.pairs))), s"${b.name}/${q.name}")
+        assert(u.lakeEmb.map(t => (t.id, t.table)) == u.lakeTuples.map(t => (t.id, t.table)), s"${b.name}/${q.name}")
+      }
+    }
+  }
+
   test("two tables with one name but different rows get their own embeddings") {
     val cols = Vector(ColumnSpec("city", 0, numeric = false), ColumnSpec("park", 1, numeric = false))
     val a = SimpleTable.dense("t", 0, cols, Vector(Vector("fresno", "river park"), Vector("reno", "lake park")))

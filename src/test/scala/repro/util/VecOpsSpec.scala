@@ -52,6 +52,23 @@ class VecOpsSpec extends SparkSpec {
     assert(math.abs(VecOps.cosineDist(a, b) - VecOps.cosineDist(b, a)) < eps)
   }
 
+  test("cosineDist given the norms equals the two-argument form bit for bit") {
+    val rng = new Rng(23)
+    def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+    val random = Vector.fill(200)(Array.fill(16)(rng.nextGaussian()))
+    // Zero vectors with +0.0 and -0.0 entries, a vector with -0.0 entries
+    // among non-zero ones, copies (distance exactly 0) and a negation.
+    val zeros = Vector(new Array[Double](16), Array.fill(16)(-0.0), Array.tabulate(16)(i => if (i % 2 == 0) -0.0 else 0.0))
+    val signed = Array.tabulate(16)(i => if (i % 3 == 0) -0.0 else rng.nextGaussian())
+    val vs = random ++ zeros ++ Vector(signed, signed.clone(), random(0).clone(), random(0).map(-_))
+    for (a <- vs; b <- vs) {
+      val two = VecOps.cosineDist(a, b)
+      assert(bits(VecOps.cosineDist(a, VecOps.norm(a), b, VecOps.norm(b))) == bits(two))
+    }
+    assert(VecOps.cosineDist(zeros(1), 0.0, zeros(2), -0.0) == 0.0)
+    assert(VecOps.cosineDist(zeros(1), 0.0, signed, VecOps.norm(signed)) == 1.0)
+  }
+
   test("euclidean matches hand computation") {
     assert(math.abs(VecOps.euclidean(Array(0.0, 0.0), Array(3.0, 4.0)) - 5.0) < eps)
   }
