@@ -32,11 +32,9 @@ object Hashing {
     if (grams.isEmpty) Vector(padded) else grams
   }
 
-  /** Mean of n-gram hash vectors — tokens sharing surface prefixes embed close. */
-  def ngramVec(token: String, salt: Long): Array[Double] = ngramVec(token)(hashVec(_, salt))
-
-  /** [[ngramVec]] with each n-gram's vector drawn by `hash`, which must
-    * return `hashVec(gram, salt)`: the mean runs in n-gram order either way.
+  /** Mean of n-gram hash vectors — tokens sharing surface prefixes embed
+    * close. `hash(gram)` is the n-gram's `hashVec(gram, salt)`, drawn afresh
+    * or read from a token table; the mean runs in n-gram order either way.
     */
   def ngramVec(token: String)(hash: String => Array[Double]): Array[Double] =
     VecOps.normalize(VecOps.mean(charNgrams(token).map(hash)))

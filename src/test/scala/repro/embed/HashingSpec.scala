@@ -48,13 +48,13 @@ class HashingSpec extends SparkSpec {
   }
 
   test("ngramVec of shared-prefix tokens are similar") {
-    val a = Hashing.ngramVec("t3c2v17", 1)
-    val b = Hashing.ngramVec("t3c2v18", 1)
-    val c = Hashing.ngramVec("t9c5v44", 1)
+    val a = Hashing.ngramVec("t3c2v17")(Hashing.hashVec(_, 1))
+    val b = Hashing.ngramVec("t3c2v18")(Hashing.hashVec(_, 1))
+    val c = Hashing.ngramVec("t9c5v44")(Hashing.hashVec(_, 1))
     assert(VecOps.cosineSim(a, b) > VecOps.cosineSim(a, c))
   }
 
   test("ngramVec is unit-norm") {
-    assert(math.abs(VecOps.norm(Hashing.ngramVec("token", 5)) - 1.0) < 1e-9)
+    assert(math.abs(VecOps.norm(Hashing.ngramVec("token")(Hashing.hashVec(_, 5))) - 1.0) < 1e-9)
   }
 }
