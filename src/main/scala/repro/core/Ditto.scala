@@ -50,9 +50,9 @@ object Ditto {
   }
 
   /** Fine-tune the Ditto model on 3000 EM pairs (same architecture as DUST). */
-  def train(base: TupleFeaturizer, bench: LakeBenchmark): DustModel = {
+  def train(base: TupleFeaturizer, bench: LakeBenchmark): (DustModel, DustModel.TrainStats) = {
     val pairs = emPairs(bench, 3000)
     val nVal = pairs.length / 10
-    DustModel.finetuneOnPairs(base, pairs.drop(nVal), pairs.take(nVal), DustModel.TrainConfig(seed = 777))._1
+    DustModel.finetuneOnPairs(base, pairs.drop(nVal), pairs.take(nVal), DustModel.TrainConfig(seed = 777))
   }
 }

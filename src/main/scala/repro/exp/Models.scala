@@ -1,6 +1,7 @@
 package repro.exp
 
 import repro.core.{Ditto, DustModel, TupleFeaturizer}
+import repro.core.DustModel.TrainStats
 import repro.embed.HashLm
 
 /** Trained-model registry shared by experiments and benches. Training is
@@ -26,18 +27,22 @@ object Models {
   lazy val bertEncoder: TupleFeaturizer    = TupleFeaturizer(HashLm.dustBase(HashLm.bert))
   lazy val robertaEncoder: TupleFeaturizer = TupleFeaturizer(HashLm.dustBase(HashLm.roberta))
 
-  /** DUST (BERT): fine-tuned on the TUS pair benchmark. */
-  lazy val dustBert: DustModel = {
+  /** DUST (BERT): fine-tuned on the TUS pair benchmark, with its training stats. */
+  lazy val dustBertFit: (DustModel, TrainStats) = {
     val s = Benchmarks.fineTune
-    DustModel.finetuneOnPairs(bertEncoder, s.train, s.validation, DustModel.TrainConfig(seed = 11))._1
+    DustModel.finetuneOnPairs(bertEncoder, s.train, s.validation, DustModel.TrainConfig(seed = 11))
   }
+  lazy val dustBert: DustModel = dustBertFit._1
 
-  /** DUST (RoBERTa): the production model (§6.3.4). */
-  lazy val dustRoberta: DustModel = {
+  /** DUST (RoBERTa)'s training run: the production model (§6.3.4) and its stats. */
+  def fitDustRoberta(): (DustModel, TrainStats) = {
     val s = Benchmarks.fineTune
-    DustModel.finetuneOnPairs(robertaEncoder, s.train, s.validation, DustModel.TrainConfig(seed = 12))._1
+    DustModel.finetuneOnPairs(robertaEncoder, s.train, s.validation, DustModel.TrainConfig(seed = 12))
   }
+  lazy val dustRobertaFit: (DustModel, TrainStats) = fitDustRoberta()
+  lazy val dustRoberta: DustModel = dustRobertaFit._1
 
   /** Ditto: entity-matching fine-tuning of the same encoder. */
-  lazy val ditto: DustModel = Ditto.train(robertaEncoder, Benchmarks.tus)
+  lazy val dittoFit: (DustModel, TrainStats) = Ditto.train(robertaEncoder, Benchmarks.tus)
+  lazy val ditto: DustModel = dittoFit._1
 }

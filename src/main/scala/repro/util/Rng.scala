@@ -36,16 +36,24 @@ final class Rng(seed: Long) {
     math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.Pi * u2)
   }
 
-  /** Fisher–Yates shuffle (returns a new vector). */
-  def shuffle[A](xs: Seq[A]): Vector[A] = {
-    val a = xs.toArray[Any]
-    var i = a.length - 1
+  /** A random permutation of `0 until n`: Fisher–Yates on the identity. */
+  def permutation(n: Int): Array[Int] = {
+    val a = Array.range(0, n)
+    var i = n - 1
     while (i > 0) {
       val j = nextInt(i + 1)
       val t = a(i); a(i) = a(j); a(j) = t
       i -= 1
     }
-    a.toVector.asInstanceOf[Vector[A]]
+    a
+  }
+
+  /** Fisher–Yates shuffle (returns a new vector): `xs` in [[permutation]]'s
+    * order, which is Fisher–Yates on `xs` itself, draw for draw.
+    */
+  def shuffle[A](xs: Seq[A]): Vector[A] = {
+    val a = xs.toIndexedSeq
+    permutation(a.length).iterator.map(a).toVector
   }
 
   /** Pick one element. */
