@@ -5,8 +5,8 @@ import repro.util.Par
 /** Agglomerative hierarchical clustering with average linkage (UPGMA),
   * built with the nearest-neighbour-chain algorithm: O(n²) time, O(n²) memory
   * on one half-size distance store ([[Hac.Dist]]). UPGMA is reducible, so
-  * NN-chain yields the exact dendrogram; heights are monotone, so cutting at k clusters is
-  * "apply the n−k lowest merges".
+  * NN-chain yields the exact dendrogram; heights are monotone up to rounding, so cutting at
+  * k clusters is "apply the n−k lowest merges" in [[Hac.Dendrogram]]'s cut order.
   *
   * This is the clustering engine behind DUST's tuple diversification
   * (Algorithm 2, Line 4), the CLT baseline and, with cannot-link groups,
@@ -28,11 +28,22 @@ object Hac {
     /** The fewest clusters a cut can give. */
     def minK: Int = n - merges.length
 
-    /** Merge indices, stably sorted by height: parents never precede their
-      * children because UPGMA heights are monotone and formation order
-      * breaks ties.
+    /** Merge indices in cut order, stably sorted by effective height: the
+      * max of a merge's own height and its children's effective heights.
+      * UPGMA heights are monotone in exact arithmetic, but the size-weighted
+      * update can round a parent below its child. Effective heights never
+      * fall from child to parent, and formation order breaks ties, so every
+      * merge comes after the merges that formed its children.
       */
-    private lazy val byHeight: Array[Int] = merges.indices.sortBy(merges(_).height).toArray
+    private[cluster] lazy val byHeight: Array[Int] = {
+      val eff = new Array[Double](merges.length)
+      def effOf(c: Int) = if (c < n) Double.NegativeInfinity else eff(c - n)
+      for (j <- merges.indices) {
+        val m = merges(j) // children precede parents in merge order
+        eff(j) = math.max(m.height, math.max(effOf(m.a), effOf(m.b)))
+      }
+      merges.indices.sortBy(eff(_)).toArray
+    }
 
     /** Labels (0..k-1, in order of first appearance) for a k-cluster cut. */
     def cut(k: Int): Array[Int] = {

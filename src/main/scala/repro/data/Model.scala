@@ -3,8 +3,7 @@ package repro.data
 /** Core table model for the synthetic data lake.
   *
   * Tables are small (lite-scale benchmarks), so they are held as plain
-  * row-major string matrices; [[LakeIO]] round-trips them through Parquet
-  * (long format), and the Spark pipeline bench runs DUST on that read-back lake.
+  * row-major string matrices.
   */
 
 /** A column of a lake/query table.

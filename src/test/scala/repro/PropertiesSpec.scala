@@ -136,5 +136,13 @@ class PropertiesSpec extends SparkSpec {
         assert(constrained.cut(k).distinct.length == k, s"n=$n k=$k groups=${groups.mkString(",")}")
       }
     }
+    // Equidistant points and one far point: the size-weighted update can round
+    // a parent merge below its child.
+    samples(Gen.zip(Gen.chooseNum(3, 6), Gen.chooseNum(1.0, 2.0), Gen.chooseNum(0.05, 1.0)), 200)
+      .foreach { case (b, h, gap) =>
+        val den = repro.cluster.Hac.upgma(repro.cluster.Hac.distMatrix(0 to b,
+          (i: Int, j: Int) => if (i == 0 || j == 0) h + gap else h))
+        (1 to b + 1).foreach(k => assert(den.cut(k).distinct.length == k, s"b=$b h=$h gap=$gap k=$k"))
+      }
   }
 }

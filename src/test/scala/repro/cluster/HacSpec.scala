@@ -8,6 +8,14 @@ class HacSpec extends SparkSpec {
   private def blob(center: Double, n: Int, rng: Rng): Vector[Array[Double]] =
     Vector.fill(n)(Array(center + rng.nextGaussian() * 0.05, center + rng.nextGaussian() * 0.05))
 
+  /** Point 0 at 1.95 from four points pairwise h apart: UPGMA merges (2, 1)
+    * and (3, 5) at h, then (4, 6) one ulp below h, then point 0.
+    */
+  private def roundedBelowChild: Hac.Dendrogram = {
+    val h = 1.8353687531058198
+    Hac.upgma(Hac.distMatrix(0 until 5, (i: Int, j: Int) => if (i == 0 || j == 0) 1.95 else h))
+  }
+
   /** Labels of a k-cluster UPGMA cut over points, k capped at n. */
   private def clusterLabels[A](points: IndexedSeq[A], k: Int, dist: (A, A) => Double): Array[Int] =
     Hac.upgma(Hac.distMatrix(points, dist)).cut(math.min(k, points.length))
@@ -78,12 +86,24 @@ class HacSpec extends SparkSpec {
     assert(groups.flatten.toSet.size == 4)
   }
 
-  test("merge heights are monotone after sorting (UPGMA reducibility)") {
+  test("cut order applies every merge after the merges that formed its children") {
     val rng = new Rng(3)
     val pts = blob(0.0, 15, rng) ++ blob(3.0, 15, rng)
-    val den = Hac.upgma(Hac.distMatrix(pts, VecOps.euclidean))
-    val hs = den.merges.map(_.height).sorted
-    assert(hs.zip(hs.tail).forall { case (a, b) => a <= b })
+    Seq(Hac.upgma(Hac.distMatrix(pts, VecOps.euclidean)), roundedBelowChild).foreach { den =>
+      val pos = new Array[Int](den.merges.length)
+      den.byHeight.zipWithIndex.foreach { case (j, p) => pos(j) = p }
+      for ((m, j) <- den.merges.zipWithIndex; c <- Seq(m.a, m.b) if c >= den.n)
+        assert(pos(c - den.n) < pos(j), s"merge $j is cut before its child ${c - den.n}")
+    }
+  }
+
+  test("cut survives a parent merge that rounds below its child") {
+    val den = roundedBelowChild
+    // (3, 5) then (4, 6): the size-weighted mean (h + 2h) / 3 rounds below h.
+    assert(den.merges(2).b == den.n + 1 && den.merges(2).height < den.merges(1).height)
+    (1 to den.n).foreach(k => assert(den.cut(k).distinct.length == k, s"k=$k"))
+    val two = den.cut(2)
+    assert(two.count(_ == two(0)) == 1, two.mkString(","))
   }
 
   test("clusterLabels caps k at n") {

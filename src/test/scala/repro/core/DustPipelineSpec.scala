@@ -43,6 +43,15 @@ class DustPipelineSpec extends SparkSpec {
     val sparkRes = Dust.runSpark(spark, q, bench, model, cfg,
       tfidfOpt = Some(Benchmarks.tfidfFor(bench)))
     assert(sparkRes.selected.map(_.id) == result.selected.map(_.id))
+    // SANTOS-lite's first query, with search, at a larger k and s.
+    val santos = Benchmarks.santos
+    val sq = santos.queries.head
+    val santosCfg = Dust.Config(topN = 6, k = 20, s = 400)
+    val tfidf = Some(Benchmarks.tfidfFor(santos))
+    val driver = Dust.run(sq, santos, model, santosCfg, tfidfOpt = tfidf)
+    val onSpark = Dust.runSpark(spark, sq, santos, model, santosCfg, tfidfOpt = tfidf)
+    assert(driver.selected.size == santosCfg.k)
+    assert(onSpark.selected.map(_.id) == driver.selected.map(_.id))
   }
 
   test("spark pipeline selects the driver's tuples on every query of a big union") {
