@@ -13,10 +13,12 @@ import repro.util.Rng
   */
 object Ditto {
 
-  /** Build an entity-matching training set over a benchmark's lake. */
-  def emPairs(bench: LakeBenchmark, nPairs: Int, seed: Long = 777): Vector[FtPair] = {
-    require(nPairs % 2 == 0, "nPairs must be even")
-    val rng = new Rng(seed)
+  /** Size of the entity-matching training set, half positive. */
+  val NPairs = 3000
+
+  /** Build the entity-matching training set over a benchmark's lake, from one fixed seed. */
+  def emPairs(bench: LakeBenchmark): Vector[FtPair] = {
+    val rng = new Rng(777)
     val tables = bench.lake.filter(_.nRows >= 2)
 
     def row(t: SimpleTable, i: Int): Vector[(String, String)] = t.rowPairs(i)
@@ -45,13 +47,13 @@ object Ditto {
         FtPair(row(t1, rng.nextInt(t1.nRows)), row(t2, rng.nextInt(t2.nRows)), 0)
       }
 
-    val half = nPairs / 2
+    val half = NPairs / 2
     rng.shuffle(Vector.fill(half)(positive()) ++ Vector.fill(half)(negative()))
   }
 
-  /** Fine-tune the Ditto model on 3000 EM pairs (same architecture as DUST). */
+  /** Fine-tune the Ditto model on the EM pairs (same architecture as DUST). */
   def train(base: TupleFeaturizer, bench: LakeBenchmark): (DustModel, DustModel.TrainStats) = {
-    val pairs = emPairs(bench, 3000)
+    val pairs = emPairs(bench)
     val nVal = pairs.length / 10
     DustModel.finetuneOnPairs(base, pairs.drop(nVal), pairs.take(nVal), DustModel.TrainConfig(seed = 777))
   }

@@ -20,8 +20,8 @@ import repro.util.VecOps
   * the distance matrix is computed on all of its cores (DESIGN.md §6).
   * `sparkPrune` / `sparkRerank` express steps 1 and 3 as Spark dataflows
   * over `(id, table, vec)` frames for lake-scale runs; each returns the
-  * driver step's output in the driver's order (tested, and checked against
-  * DuckDB SQL).
+  * driver step's output in the driver's order (tested against the driver
+  * steps and an SQL oracle).
   */
 object DiversifyTuples {
 

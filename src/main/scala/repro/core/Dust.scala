@@ -13,10 +13,11 @@ object Dust {
   final case class Config(
       topN: Int = 10,   // unionable tables retrieved by SearchTables
       k: Int = 30,      // output diverse tuples
-      p: Int = 2,       // candidate multiplier (App. A.2.2)
       s: Int = 2500,    // pruning budget (§5.1)
   ) {
-    require(topN >= 1 && k >= 1 && p >= 1 && s >= 1, s"Config needs topN, k, p and s >= 1: $this")
+    /** Candidate multiplier: clustering keeps k·p medoids (App. A.2.2). */
+    val p: Int = 2
+    require(topN >= 1 && k >= 1 && s >= 1, s"Config needs topN, k and s >= 1: $this")
     require(s >= k, s"Config needs s >= k, or pruning leaves fewer than k tuples: $this")
   }
 

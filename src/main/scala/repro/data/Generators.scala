@@ -122,11 +122,10 @@ object Generators {
     SimpleTable.dense(s"${cfg.name}-base$b", b, cols, rows)
   }
 
-  /** Derive a lake/query table from a base: row window + column projection. */
+  /** Derive a lake/query table from a base: `rowFrac` row window + column projection. */
   private[data] def derive(cfg: GenConfig, base: SimpleTable, tableName: String, rng: Rng,
-                           rowFrac: Double = -1.0): SimpleTable = {
-    val frac = if (rowFrac > 0) rowFrac else cfg.rowFrac
-    val winLen = math.max(3, (base.nRows * frac).toInt)
+                           rowFrac: Double): SimpleTable = {
+    val winLen = math.max(3, (base.nRows * rowFrac).toInt)
     val start  = rng.nextInt(math.max(1, base.nRows - winLen + 1))
     val rowIdx = (start until math.min(base.nRows, start + winLen)).toVector
 
@@ -164,13 +163,13 @@ object Generators {
 
     val queries = (0 until cfg.nQueries).map { qi =>
       val base = bases(qi % cfg.nBases)
-      derive(cfg, base, s"${cfg.name}-query$qi", rng, rowFrac = cfg.queryRowFrac)
+      derive(cfg, base, s"${cfg.name}-query$qi", rng, cfg.queryRowFrac)
     }.toVector
 
     val lake = Vector.newBuilder[SimpleTable]
     bases.zipWithIndex.foreach { case (base, b) =>
       (0 until cfg.tablesPerBase).foreach { t =>
-        lake += derive(cfg, base, s"${cfg.name}-dl-b$b-$t", rng)
+        lake += derive(cfg, base, s"${cfg.name}-dl-b$b-$t", rng, cfg.rowFrac)
       }
     }
     // Redundancy by construction: a near-copy of every query lives in the lake.

@@ -22,10 +22,13 @@ object DivAlgo {
   def relevance(t: EmbTuple, centroid: Array[Double]): Double =
     1.0 - VecOps.cosineDist(t.vec, centroid)
 
+  /** λ of GMC's and GNE's max-sum objective: the standard MMR trade-off. */
+  val Lambda = 0.5
+
   /** Max-sum set objective used by GMC/GNE:
-    * F(R) = λ·(k−1)·Σ rel(r) + 2(1−λ)·Σ_{i<j} δ(r_i, r_j)  (Vieira et al.).
+    * F(R) = λ·(k−1)·Σ rel(r) + 2(1−λ)·Σ_{i<j} δ(r_i, r_j)  (Vieira et al.), λ = [[Lambda]].
     */
-  def setScore(sel: Vector[EmbTuple], centroid: Array[Double], lambda: Double): Double = {
+  def setScore(sel: Vector[EmbTuple], centroid: Array[Double]): Double = {
     val k = sel.size
     if (k == 0) return 0.0
     val rel = sel.map(relevance(_, centroid)).sum
@@ -36,6 +39,6 @@ object DivAlgo {
       while (j < k) { div += VecOps.cosineDist(sel(i).vec, sel(j).vec); j += 1 }
       i += 1
     }
-    lambda * math.max(1, k - 1) * rel + 2.0 * (1.0 - lambda) * div
+    Lambda * math.max(1, k - 1) * rel + 2.0 * (1.0 - Lambda) * div
   }
 }

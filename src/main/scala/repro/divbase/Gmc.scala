@@ -16,9 +16,9 @@ import repro.util.VecOps
   *
   * The future-bound term is what makes GMC scan all candidate pairs every
   * iteration — the quadratic-in-s runtime the paper measures in Fig 7(a).
-  * λ defaults to the standard MMR trade-off (0.5).
+  * λ is [[DivAlgo.Lambda]].
   */
-final case class Gmc(lambda: Double = 0.5) extends DivAlgo {
+final case class Gmc() extends DivAlgo {
   val name = "GMC"
 
   def select(cands: Vector[EmbTuple], query: Vector[Array[Double]], k: Int): Vector[EmbTuple] = {
@@ -27,7 +27,7 @@ final case class Gmc(lambda: Double = 0.5) extends DivAlgo {
     val rel = cands.map(DivAlgo.relevance(_, centroid))
     val n = cands.size
     val kk = math.min(k, n)
-    val relWeight = lambda * math.max(1, k - 1)
+    val relWeight = DivAlgo.Lambda * math.max(1, k - 1)
     val selected = Vector.newBuilder[EmbTuple]
     val inSel = new Array[Boolean](n)
     // Incremental Σ distance to current selection per candidate.
@@ -52,7 +52,7 @@ final case class Gmc(lambda: Double = 0.5) extends DivAlgo {
             }
           }
           val score = relWeight * rel(i) +
-            2.0 * (1.0 - lambda) * (sumDist(i) + futureSlots * maxRemaining)
+            2.0 * (1.0 - DivAlgo.Lambda) * (sumDist(i) + futureSlots * maxRemaining)
           if (score > bestScore ||
               (score == bestScore && best >= 0 && cands(i).id < cands(best).id)) {
             bestScore = score; best = i

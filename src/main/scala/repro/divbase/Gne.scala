@@ -5,15 +5,18 @@ import repro.util.{Rng, VecOps}
 
 /** GNE — Greedy randomized with Neighborhood Expansion (Vieira et al. [51]).
   *
-  * GRASP over the max-sum objective (λ = 0.5): `iterations` rounds of (a)
-  * randomized greedy construction — each step picks uniformly among the top
-  * 3 candidates by GMC score — and (b) local search that tries swapping
-  * selected items with outsiders while the set score improves. Keeps the
-  * best set seen. Deliberately expensive (the paper's slowest baseline).
+  * GRASP over the max-sum objective (λ = [[DivAlgo.Lambda]]): 10 rounds
+  * of (a) randomized greedy construction — each step picks uniformly among
+  * the top 3 candidates by GMC score — and (b) local search that tries 200
+  * random swaps of selected items with outsiders, keeping each swap that
+  * improves the set score. Keeps the best set seen; draws come from one
+  * fixed seed. Deliberately expensive (the paper's slowest baseline).
   */
-final case class Gne(iterations: Int = 10, swapTries: Int = 200, seed: Long = 5150) extends DivAlgo {
+final case class Gne() extends DivAlgo {
   val name = "GNE"
-  private val lambda = 0.5
+  private val iterations = 10
+  private val swapTries = 200
+  private val seed = 5150L
   private val rcl = 3 // restricted candidate list size
 
   def select(cands: Vector[EmbTuple], query: Vector[Array[Double]], k: Int): Vector[EmbTuple] = {
@@ -24,7 +27,7 @@ final case class Gne(iterations: Int = 10, swapTries: Int = 200, seed: Long = 51
     val n = cands.size
     val kk = math.min(k, n)
 
-    val relWeight = lambda * math.max(1, kk - 1)
+    val relWeight = DivAlgo.Lambda * math.max(1, kk - 1)
 
     def construct(): Vector[Int] = {
       val inSel = new Array[Boolean](n)
@@ -34,7 +37,7 @@ final case class Gne(iterations: Int = 10, swapTries: Int = 200, seed: Long = 51
       while (picked < kk) {
         val scored = (0 until n).iterator
           .filter(!inSel(_))
-          .map(i => (i, relWeight * rel(i) + 2.0 * (1.0 - lambda) * sumDist(i)))
+          .map(i => (i, relWeight * rel(i) + 2.0 * (1.0 - DivAlgo.Lambda) * sumDist(i)))
           .toVector
           .sortBy { case (i, s) => (-s, i) }
         val choice = scored(rng.nextInt(math.min(rcl, scored.size)))._1
@@ -51,7 +54,7 @@ final case class Gne(iterations: Int = 10, swapTries: Int = 200, seed: Long = 51
     }
 
     def score(sel: Vector[Int]): Double =
-      DivAlgo.setScore(sel.map(cands(_)), centroid, lambda)
+      DivAlgo.setScore(sel.map(cands(_)), centroid)
 
     var bestSel = construct()
     var bestScore = score(bestSel)

@@ -26,7 +26,7 @@ sealed trait ColumnEmbedder {
     */
   def embedAll(tables: Seq[SimpleTable], tfidf: TfIdf): Vector[Vector[Array[Double]]]
 
-  /** One embedding per column of `table`, computed afresh. */
+  /** One embedding per column of `table`, computed afresh; dustbench's `TracedQuery.kernels` times it. */
   def embedAll(table: SimpleTable, tfidf: TfIdf): Vector[Array[Double]] =
     embedAll(Vector(table), tfidf).head
 }

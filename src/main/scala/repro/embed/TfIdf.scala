@@ -23,7 +23,7 @@ final class TfIdf(idf: Map[String, Double], nDocs: Int) {
 
   /** Column embeddings of each table, from the index. Tables it has not seen
     * are embedded in one batch (`embedder.embedAll`) and added. Equal to
-    * `embedder.embedAll(table, this)` element for element; the arrays are
+    * `embedder.embedAll(tables, this)` element for element; the arrays are
     * shared with later callers and must not be mutated. Safe for concurrent
     * use.
     */

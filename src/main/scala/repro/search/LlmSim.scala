@@ -8,7 +8,7 @@ import repro.util.Rng
   * the query table, "the LLM generates a few diverse tuples but
   * subsequently produces redundant ones", and it only works for small
   * inputs (token limit). Novel tuples draw unseen values from the query's
-  * topic vocabulary; after `noveltyBudget` generations, outputs are light
+  * topic vocabulary; after [[NoveltyBudget]] generations, outputs are light
   * perturbations of earlier generations. See DESIGN.md §2.
   */
 object LlmSim {
@@ -16,12 +16,15 @@ object LlmSim {
   /** Token-limit guard: mirrors the paper's exclusion of SANTOS queries. */
   val MaxPromptTuples = 40
 
+  /** Novel generations before the output turns redundant. */
+  val NoveltyBudget = 12
+
   final case class GeneratedTuple(pairs: Vector[(String, String)])
 
   /** Generate k tuples "unionable with" the query. Returns None when the
     * query exceeds the prompt budget (the paper's "-" cells).
     */
-  def generate(query: SimpleTable, k: Int, noveltyBudget: Int = 12): Option[Vector[GeneratedTuple]] = {
+  def generate(query: SimpleTable, k: Int): Option[Vector[GeneratedTuple]] = {
     if (query.nRows > MaxPromptTuples) return None
     val rng = new Rng(Rng.mix(1234, Rng.hashString(query.name)))
     val seen = query.rows.flatMap(_.flatten).toSet
@@ -30,7 +33,7 @@ object LlmSim {
     var i = 0
     while (i < k) {
       val g =
-        if (i < noveltyBudget || produced.isEmpty) {
+        if (i < NoveltyBudget || produced.isEmpty) {
           // Novel tuple: fresh values in the query's per-column vocabulary.
           val pairs = query.cols.map { c =>
             val v =

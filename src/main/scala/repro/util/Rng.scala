@@ -4,8 +4,7 @@ package repro.util
   *
   * Every stochastic choice in the repo (synthetic data, hash embeddings,
   * model init, baseline randomization) flows through [[Rng]] seeded from
-  * explicit longs, so benchmarks and the DuckDB oracle always see the
-  * same bytes.
+  * explicit longs, so benchmarks and tests always see the same bytes.
   */
 final class Rng(seed: Long) {
   private var state: Long = seed
@@ -55,9 +54,6 @@ final class Rng(seed: Long) {
     val a = xs.toIndexedSeq
     permutation(a.length).iterator.map(a).toVector
   }
-
-  /** Pick one element. */
-  def pick[A](xs: IndexedSeq[A]): A = xs(nextInt(xs.length))
 }
 
 object Rng {

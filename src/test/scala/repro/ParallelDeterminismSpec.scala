@@ -2,6 +2,7 @@ package repro
 
 import java.lang.Double.doubleToRawLongBits
 import java.util.concurrent.{Callable, CountDownLatch, ForkJoinPool, ForkJoinWorkerThread}
+import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.Hac
 import repro.core.{ColumnAlignment, DiversifyTuples, Dust, OuterUnion}
 import repro.core.DiversifyTuples.EmbTuple
@@ -17,7 +18,7 @@ import repro.util.{Par, Rng, VecOps}
   * a ForkJoinPool worker runs in that worker's pool, so each site is run
   * inside `new ForkJoinPool(1)` and `new ForkJoinPool(8)`.
   */
-class ParallelDeterminismSpec extends SparkSpec {
+class ParallelDeterminismSpec extends AnyFunSuite {
   private lazy val model = Models.dustRoberta
 
   private def inPool[A](threads: Int)(body: => A): A = {
@@ -84,7 +85,7 @@ class ParallelDeterminismSpec extends SparkSpec {
     val tables = b.lake ++ b.queries
     val tfidf = Benchmarks.tfidfFor(b)
     Table1Experiment.methods.map(_.embedder).distinct.foreach { emb =>
-      val reference = inPool(1)(tables.map(t => emb.embedAll(t, tfidf)))
+      val reference = inPool(1)(tables.map(t => emb.embedAll(Vector(t), tfidf).head))
       onePoolAndEight(emb.embedAll(tables, tfidf)).foreach { case (n, embs) =>
         assert(embs.size == tables.size)
         tables.indices.foreach(i => assert(sameBits(embs(i), reference(i)), s"${emb.name} pool($n) ${tables(i).name}"))

@@ -2,6 +2,7 @@ package repro
 
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.DiversifyTuples
 import repro.core.DiversifyTuples.EmbTuple
 import repro.util.{Rng, VecOps}
@@ -10,7 +11,7 @@ import repro.util.{Rng, VecOps}
   * generators sampled deterministically (the scalatest/scalacheck bridge
   * artifact is not in the offline cache, so sampling is done directly).
   */
-class PropertiesSpec extends SparkSpec {
+class PropertiesSpec extends AnyFunSuite {
 
   private def samples[A](g: Gen[A], n: Int = 60): Seq[A] =
     (0 until n).flatMap(i => g.apply(Gen.Parameters.default, Seed(1234L + i)))

@@ -1,21 +1,20 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for the specs that run Spark dataflows: `Dust.runSpark`,
+  * `DiversifyTuples.sparkPrune` and `sparkRerank`, checked against the
+  * driver pipeline, [[repro.core.NaiveDust]] and the DuckDB [[Oracle]]. The
+  * other specs extend `AnyFunSuite` and start no Spark.
   *
+  * These specs share one local-mode SparkSession for the whole test run.
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM. Broadcast joins are off, so a join a spec adds runs
+  * as the shuffle join it would be at lake scale.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {

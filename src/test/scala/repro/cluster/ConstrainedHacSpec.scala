@@ -1,12 +1,12 @@
 package repro.cluster
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.util.{Rng, VecOps}
 
 /** Cannot-link (constrained) UPGMA: `Hac.upgma` with a group per point, as
   * holistic column alignment runs it with one group per table.
   */
-class ConstrainedHacSpec extends SparkSpec {
+class ConstrainedHacSpec extends AnyFunSuite {
 
   private def dm(pts: Seq[Array[Double]]) =
     Hac.distMatrix(pts.toIndexedSeq, VecOps.euclidean)

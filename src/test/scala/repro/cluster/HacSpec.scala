@@ -1,9 +1,9 @@
 package repro.cluster
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.util.{Rng, VecOps}
 
-class HacSpec extends SparkSpec {
+class HacSpec extends AnyFunSuite {
 
   private def blob(center: Double, n: Int, rng: Rng): Vector[Array[Double]] =
     Vector.fill(n)(Array(center + rng.nextGaussian() * 0.05, center + rng.nextGaussian() * 0.05))

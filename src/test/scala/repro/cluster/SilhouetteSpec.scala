@@ -1,9 +1,9 @@
 package repro.cluster
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.util.{Rng, VecOps}
 
-class SilhouetteSpec extends SparkSpec {
+class SilhouetteSpec extends AnyFunSuite {
 
   private def dm(pts: Seq[Array[Double]]) =
     Hac.distMatrix(pts.toIndexedSeq, VecOps.euclidean)
@@ -76,7 +76,7 @@ class SilhouetteSpec extends SparkSpec {
     val random = Vector.fill(300) {
       val n = 2 + rng.nextInt(14)
       val locs = Vector.fill(1 + rng.nextInt(6))(Array(rng.nextGaussian(), rng.nextGaussian()))
-      val pts = Vector.fill(n)(rng.pick(locs))
+      val pts = Vector.fill(n)(locs(rng.nextInt(locs.length)))
       val range = 1 + rng.nextInt(n + 2)
       (pts, Array.fill(n)(rng.nextInt(range)))
     }

@@ -1,27 +1,23 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.Generators
 import repro.exp.{Benchmarks, Models}
 
-class DittoSpec extends SparkSpec {
+class DittoSpec extends AnyFunSuite {
 
   test("EM pairs are balanced and labeled") {
-    val ps = Ditto.emPairs(Generators.ugenLite, 200, seed = 1)
-    assert(ps.size == 200)
-    assert(ps.count(_.label == 1) == 100)
+    val ps = Ditto.emPairs(Generators.ugenLite)
+    assert(ps.size == Ditto.NPairs)
+    assert(ps.count(_.label == 1) == Ditto.NPairs / 2)
   }
 
   test("positive EM pairs describe the same entity (subset of attributes)") {
-    val ps = Ditto.emPairs(Generators.ugenLite, 100, seed = 2).filter(_.label == 1)
+    val ps = Ditto.emPairs(Generators.ugenLite).filter(_.label == 1)
     ps.foreach { p =>
       val (big, small) = if (p.t1.size >= p.t2.size) (p.t1, p.t2) else (p.t2, p.t1)
       assert(small.toSet.subsetOf(big.toSet))
     }
-  }
-
-  test("EM pairs generation rejects odd sizes") {
-    intercept[IllegalArgumentException](Ditto.emPairs(Generators.ugenLite, 33))
   }
 
   test("Ditto lands between raw baselines and DUST on unionability (Fig 6 shape)") {

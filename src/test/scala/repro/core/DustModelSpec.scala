@@ -3,14 +3,14 @@ package repro.core
 import java.nio.ByteBuffer
 import java.security.MessageDigest
 import java.util.concurrent.ForkJoinPool
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.FineTuneData
 import repro.data.FineTuneData.FtPair
 import repro.embed.HashLm
 import repro.exp.{Benchmarks, Models}
 import repro.util.VecOps
 
-class DustModelSpec extends SparkSpec {
+class DustModelSpec extends AnyFunSuite {
   import DustModelSpec._
 
   private lazy val model = Models.dustRoberta

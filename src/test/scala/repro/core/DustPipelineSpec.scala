@@ -113,13 +113,12 @@ class DustPipelineSpec extends SparkSpec {
     intercept[IllegalArgumentException](Dust.runSpark(spark, empty, bench, model, cfg, tfidfOpt = tfidf))
   }
 
-  test("Config rejects topN, k, p or s below 1") {
+  test("Config rejects topN, k or s below 1") {
     intercept[IllegalArgumentException](Dust.Config(topN = 0))
     intercept[IllegalArgumentException](Dust.Config(k = 0))
-    intercept[IllegalArgumentException](Dust.Config(p = 0))
     intercept[IllegalArgumentException](Dust.Config(s = 0))
     intercept[IllegalArgumentException](Dust.Config(s = -1))
-    assert(Dust.Config(topN = 1, k = 1, p = 1, s = 1).s == 1)
+    assert(Dust.Config(topN = 1, k = 1, s = 1).s == 1)
   }
 
   test("Config rejects s below k") {

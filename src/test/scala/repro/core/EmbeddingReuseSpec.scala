@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.Arrays
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{ColumnSpec, Generators, LakeBenchmark, SimpleTable}
 import repro.embed.{ColumnEmbedders, TfIdf}
 import repro.exp.{Benchmarks, Models, Table1Experiment}
@@ -10,7 +10,7 @@ import repro.exp.{Benchmarks, Models, Table1Experiment}
   * never change a result: every vector they hand out equals the one a
   * direct computation gives, on a cold index and on a warm one.
   */
-class EmbeddingReuseSpec extends SparkSpec {
+class EmbeddingReuseSpec extends AnyFunSuite {
   /** SANTOS-lite and UGEN-lite, each with its Table 3 configuration. */
   private lazy val benches: Vector[(LakeBenchmark, Dust.Config)] = Vector(
     Generators.santosLite -> Dust.Config(k = Benchmarks.santosK, s = Benchmarks.pruneS),
@@ -32,7 +32,7 @@ class EmbeddingReuseSpec extends SparkSpec {
       table1Embedders.foreach { emb =>
         val filled = tfidf.columnEmbeddings(emb, tables)
         tables.zip(filled).foreach { case (t, indexed) =>
-          val direct = emb.embedAll(t, tfidf)
+          val direct = emb.embedAll(Vector(t), tfidf).head
           assert(sameVectors(indexed, direct), s"${emb.name} on ${b.name}/${t.name}")
           val hit = tfidf.columnEmbeddings(emb, Vector(t)).head
           assert(hit.zip(indexed).forall { case (x, y) => x eq y }, s"${emb.name} re-embedded ${t.name}")
@@ -87,8 +87,8 @@ class EmbeddingReuseSpec extends SparkSpec {
     table1Embedders.foreach { emb =>
       val both = tfidf.columnEmbeddings(emb, Vector(a, b))
       assert(!sameVectors(both(0), both(1)), emb.name)
-      assert(sameVectors(both(0), emb.embedAll(a, tfidf)), emb.name)
-      assert(sameVectors(both(1), emb.embedAll(b, tfidf)), emb.name)
+      assert(sameVectors(both(0), emb.embedAll(Vector(a), tfidf).head), emb.name)
+      assert(sameVectors(both(1), emb.embedAll(Vector(b), tfidf).head), emb.name)
     }
   }
 
@@ -103,7 +103,7 @@ class EmbeddingReuseSpec extends SparkSpec {
     b.queries.foreach(q => Dust.run(q, b, model, cfg, tfidfOpt = Some(tfidf)))
     tables.indices.foreach { i =>
       assert(sameVectors(cached(i), snapshot(i)), s"a run changed ${tables(i).name}'s vectors")
-      assert(sameVectors(cached(i), emb.embedAll(tables(i), tfidf)), s"${tables(i).name} drifted from embedAll")
+      assert(sameVectors(cached(i), emb.embedAll(Vector(tables(i)), tfidf).head), s"${tables(i).name} drifted from embedAll")
     }
   }
 

@@ -1,11 +1,11 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.Generators
 import repro.embed.ColumnEmbedders
 import repro.exp.Benchmarks
 
-class OuterUnionSpec extends SparkSpec {
+class OuterUnionSpec extends AnyFunSuite {
   private lazy val bench = Generators.ugenLite
   private lazy val tfidf = Benchmarks.tfidfFor(bench)
   private lazy val q = bench.queries.head

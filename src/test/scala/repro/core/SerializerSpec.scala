@@ -1,8 +1,8 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class SerializerSpec extends SparkSpec {
+class SerializerSpec extends AnyFunSuite {
 
   test("serialization follows the paper's format (Example 4)") {
     val pairs = Seq(("Park Name", "River Park"), ("Supervisor", "Vera Onate"),

@@ -1,10 +1,10 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.embed.HashLm
 import repro.util.VecOps
 
-class TupleFeaturizerSpec extends SparkSpec {
+class TupleFeaturizerSpec extends AnyFunSuite {
   private val f = TupleFeaturizer(HashLm.dustBase(HashLm.roberta))
 
   test("features have the model dimension") {

@@ -1,8 +1,8 @@
 package repro.data
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class FineTuneDataSpec extends SparkSpec {
+class FineTuneDataSpec extends AnyFunSuite {
   private lazy val split = FineTuneData.build(Generators.tusLite, nPairs = 1000, labelNoise = 0.0, seed = 1)
 
   test("split sizes follow 70/15/15") {

@@ -1,9 +1,9 @@
 package repro.data
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.util.Rng
 
-class GeneratorsSpec extends SparkSpec {
+class GeneratorsSpec extends AnyFunSuite {
   private lazy val tus = Generators.tusLite
   private lazy val santos = Generators.santosLite
   private lazy val ugen = Generators.ugenLite

@@ -2,9 +2,9 @@ package repro.data
 
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class TokenizerSpec extends SparkSpec {
+class TokenizerSpec extends AnyFunSuite {
 
   test("splits on whitespace and punctuation") {
     assert(Tokenizer.tokens("River Park, Fresno!") == Vector("river", "park", "fresno"))

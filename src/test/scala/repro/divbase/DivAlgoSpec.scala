@@ -1,10 +1,10 @@
 package repro.divbase
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.DiversifyTuples.EmbTuple
 import repro.util.{Rng, VecOps}
 
-class DivAlgoSpec extends SparkSpec {
+class DivAlgoSpec extends AnyFunSuite {
 
   private def mkTuples(n: Int, seed: Long, dim: Int = 6): Vector[EmbTuple] = {
     val rng = new Rng(seed)
@@ -21,15 +21,15 @@ class DivAlgoSpec extends SparkSpec {
   }
 
   test("setScore is zero for the empty set") {
-    assert(DivAlgo.setScore(Vector.empty, Array(1.0), 0.3) == 0.0)
+    assert(DivAlgo.setScore(Vector.empty, Array(1.0)) == 0.0)
   }
 
   test("setScore grows when a diverse element is added") {
     val centroid = Array(1.0, 0.0)
     val a = EmbTuple(0, "t", Array(1.0, 0.0))
     val b = EmbTuple(1, "t", Array(-1.0, 0.0))
-    val s1 = DivAlgo.setScore(Vector(a), centroid, 0.3)
-    val s2 = DivAlgo.setScore(Vector(a, b), centroid, 0.3)
+    val s1 = DivAlgo.setScore(Vector(a), centroid)
+    val s2 = DivAlgo.setScore(Vector(a, b), centroid)
     assert(s2 > s1)
   }
 
@@ -48,11 +48,12 @@ class DivAlgoSpec extends SparkSpec {
     assert(Gmc().select(Vector.empty, mkQuery(2, 5), 3).isEmpty)
   }
 
-  test("GMC with pure diversity (lambda=0) spreads selections") {
-    // Two antipodal blobs: the first two picks must cover both blobs.
+  test("GMC spreads its first two picks over two antipodal blobs") {
+    // The second pick gains ~2 of diversity from the other blob; relevance,
+    // weighted λ(k−1) = 0.5, can move its score by at most 1.
     val a = (0 until 10).toVector.map(i => EmbTuple(i.toLong, "t", Array(1.0, 0.001 * i)))
     val b = (10 until 20).toVector.map(i => EmbTuple(i.toLong, "t", Array(-1.0, 0.001 * i)))
-    val sel = Gmc(lambda = 0.0).select(a ++ b, mkQuery(2, 6, dim = 2), 2)
+    val sel = Gmc().select(a ++ b, mkQuery(2, 6, dim = 2), 2)
     assert(sel.map(_.id / 10).toSet == Set(0L, 1L))
   }
 
@@ -64,29 +65,29 @@ class DivAlgoSpec extends SparkSpec {
   test("GMC achieves a higher max-sum objective than random selection") {
     val c = mkTuples(60, 9); val q = mkQuery(4, 10)
     val centroid = VecOps.mean(q)
-    val gmc = DivAlgo.setScore(Gmc().select(c, q, 10), centroid, 0.3)
-    val rnd = DivAlgo.setScore(RandomDiv(1).select(c, q, 10), centroid, 0.3)
+    val gmc = DivAlgo.setScore(Gmc().select(c, q, 10), centroid)
+    val rnd = DivAlgo.setScore(RandomDiv(1).select(c, q, 10), centroid)
     assert(gmc >= rnd)
   }
 
   // ----- GNE -----
 
   test("GNE returns k distinct tuples") {
-    val sel = Gne(iterations = 3, swapTries = 30).select(mkTuples(30, 11), mkQuery(3, 12), 6)
+    val sel = Gne().select(mkTuples(30, 11), mkQuery(3, 12), 6)
     assert(sel.size == 6 && sel.map(_.id).distinct.size == 6)
   }
 
   test("GNE is deterministic in its seed") {
     val c = mkTuples(25, 13); val q = mkQuery(3, 14)
-    val a = Gne(seed = 5).select(c, q, 5).map(_.id)
-    val b = Gne(seed = 5).select(c, q, 5).map(_.id)
+    val a = Gne().select(c, q, 5).map(_.id)
+    val b = Gne().select(c, q, 5).map(_.id)
     assert(a == b)
   }
 
   test("GNE never scores below its own greedy construction quality floor") {
     val c = mkTuples(40, 15); val q = mkQuery(4, 16)
     val centroid = VecOps.mean(q)
-    val gne = DivAlgo.setScore(Gne().select(c, q, 8), centroid, 0.3)
+    val gne = DivAlgo.setScore(Gne().select(c, q, 8), centroid)
     assert(gne > 0.0)
   }
 

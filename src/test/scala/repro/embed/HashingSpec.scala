@@ -1,9 +1,9 @@
 package repro.embed
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.util.VecOps
 
-class HashingSpec extends SparkSpec {
+class HashingSpec extends AnyFunSuite {
 
   test("hashVec is deterministic") {
     assert(Hashing.hashVec("tok", 1).toSeq == Hashing.hashVec("tok", 1).toSeq)

@@ -1,11 +1,11 @@
 package repro.embed
 
 import scala.reflect.ClassTag
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.Tokenizer
 import repro.util.VecOps
 
-class TextModelsSpec extends SparkSpec {
+class TextModelsSpec extends AnyFunSuite {
 
   /** `f` on the token table of a one-element batch of `lm`. */
   private def pooled[A: ClassTag](lm: HashLm)(f: HashLm.TokenTable => A): A =

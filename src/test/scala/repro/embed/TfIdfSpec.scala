@@ -1,9 +1,9 @@
 package repro.embed
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.Generators
 
-class TfIdfSpec extends SparkSpec {
+class TfIdfSpec extends AnyFunSuite {
   private lazy val tfidf = TfIdf.fit(Generators.ugenLite.lake)
 
   test("common tokens get lower idf than rare ones") {

@@ -1,12 +1,12 @@
 package repro.exp
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{ColumnAlignment, DiversifyTuples, Dust, OuterUnion}
 import repro.data.{Generators, LakeBenchmark}
 import repro.embed.{ColumnEmbedders, TfIdf}
 
 /** Smoke tests for the experiment harnesses (full runs live in bench/). */
-class ExperimentHarnessSpec extends SparkSpec {
+class ExperimentHarnessSpec extends AnyFunSuite {
 
   test("Fig5 stats cover all four lite benchmarks") {
     val rows = Fig5Stats.all()

@@ -1,12 +1,12 @@
 package repro.search
 
 import java.lang.Double.doubleToRawLongBits
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{Generators, LakeBenchmark}
 import repro.embed.TfIdf
 import repro.exp.Benchmarks
 
-class D3LSpec extends SparkSpec {
+class D3LSpec extends AnyFunSuite {
   private lazy val bench = Generators.ugenLite
   private lazy val tfidf = Benchmarks.tfidfFor(bench)
   private lazy val q = bench.queries.head

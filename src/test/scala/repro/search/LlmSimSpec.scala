@@ -1,9 +1,9 @@
 package repro.search
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.Generators
 
-class LlmSimSpec extends SparkSpec {
+class LlmSimSpec extends AnyFunSuite {
   private lazy val q = Generators.ugenLite.queries.head
 
   test("generates k tuples for small queries") {
@@ -31,7 +31,7 @@ class LlmSimSpec extends SparkSpec {
   }
 
   test("late tuples become redundant (the paper's observation)") {
-    val out = LlmSim.generate(q, 30, noveltyBudget = 5).get
+    val out = LlmSim.generate(q, 30).get
     val distinct = out.map(_.pairs).distinct.size
     assert(distinct < 30, s"all $distinct generations distinct — no redundancy")
   }

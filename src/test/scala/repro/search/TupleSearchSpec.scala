@@ -1,12 +1,12 @@
 package repro.search
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{ColumnAlignment, OuterUnion}
 import repro.data.Generators
 import repro.embed.ColumnEmbedders
 import repro.exp.Benchmarks
 
-class TupleSearchSpec extends SparkSpec {
+class TupleSearchSpec extends AnyFunSuite {
   private lazy val bench = Generators.ugenLite
   private lazy val tfidf = Benchmarks.tfidfFor(bench)
   private lazy val q = bench.queries.head

@@ -1,11 +1,11 @@
 package repro.search
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.Generators
 import repro.embed.ColumnEmbedders
 import repro.exp.Benchmarks
 
-class UnionSearchSpec extends SparkSpec {
+class UnionSearchSpec extends AnyFunSuite {
   private lazy val bench = Generators.ugenLite
   private lazy val tfidf = Benchmarks.tfidfFor(bench)
   private lazy val embedder = ColumnEmbedders.dustDefault
@@ -50,10 +50,10 @@ class UnionSearchSpec extends SparkSpec {
   }
 
   test("unionabilityScore of a table with itself is maximal") {
-    val e = embedder.embedAll(q, tfidf)
+    val e = embedder.embedAll(Vector(q), tfidf).head
     val self = UnionSearch.unionabilityScore(e, e)
     val other = UnionSearch.unionabilityScore(e,
-      embedder.embedAll(bench.lake.find(_.baseId != q.baseId).get, tfidf))
+      embedder.embedAll(Vector(bench.lake.find(_.baseId != q.baseId).get), tfidf).head)
     assert(self > other)
   }
 

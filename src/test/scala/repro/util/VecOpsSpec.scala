@@ -1,8 +1,8 @@
 package repro.util
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class VecOpsSpec extends SparkSpec {
+class VecOpsSpec extends AnyFunSuite {
   private val eps = 1e-9
 
   test("dot of orthogonal vectors is 0") {
