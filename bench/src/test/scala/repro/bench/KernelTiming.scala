@@ -1,7 +1,7 @@
 package repro.bench
 
 /** Timing and record helper of the kernel harnesses (`ClusterKernelBench`,
-  * `FineTuneBench`).
+  * `FineTuneBench`, `TokenKernelBench`).
   */
 object KernelTiming {
 

@@ -56,17 +56,34 @@ object SimpleTable {
 
 /** Whitespace/punctuation tokenizer shared by all embedding models. */
 object Tokenizer {
-  // Compiled once: String.split and replaceAll compile their regex per call.
-  private val Split = java.util.regex.Pattern.compile("[^\\p{Alnum}]+")
+  // Compiled once: replaceAll compiles its regex per call.
   private val TrailingDigits = java.util.regex.Pattern.compile("\\d+$")
 
-  /** Lowercased alphanumeric tokens; empty tokens dropped. */
-  def tokens(text: String): Vector[String] =
-    Split.split(text.toLowerCase).iterator.filter(_.nonEmpty).toVector
+  /** Lowercased alphanumeric tokens: the maximal runs of ASCII letters and
+    * digits in `text.toLowerCase`. That is what splitting it on
+    * `[^\p{Alnum}]+` and dropping empty parts gives, since `\p{Alnum}` is
+    * ASCII `[a-zA-Z0-9]` without `UNICODE_CHARACTER_CLASS`.
+    */
+  def tokens(text: String): Vector[String] = columnTokens(text :: Nil)
 
   /** Tokens of a whole column (all values concatenated). */
-  def columnTokens(values: Seq[String]): Vector[String] =
-    values.iterator.flatMap(tokens).toVector
+  def columnTokens(values: Seq[String]): Vector[String] = {
+    val out = Vector.newBuilder[String]
+    values.foreach { text =>
+      val s = text.toLowerCase
+      var i = 0
+      while (i < s.length) {
+        while (i < s.length && !isAlnum(s.charAt(i))) i += 1
+        val start = i
+        while (i < s.length && isAlnum(s.charAt(i))) i += 1
+        if (i > start) out += s.substring(start, i)
+      }
+    }
+    out.result()
+  }
+
+  private def isAlnum(c: Char): Boolean =
+    (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || (c >= 'A' && c <= 'Z')
 
   /** The "distributional context" key of a token: trailing digits stripped.
     *

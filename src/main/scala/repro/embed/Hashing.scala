@@ -14,8 +14,13 @@ object Hashing {
   /** Unit Gaussian [[HashLm.Dim]]-vector for (salt, key); deterministic. */
   def hashVec(key: String, salt: Long): Array[Double] = {
     val rng = new Rng(Rng.mix(salt, Rng.hashString(key)))
-    val v = Array.fill(HashLm.Dim)(rng.nextGaussian())
-    VecOps.normalize(v)
+    val v = new Array[Double](HashLm.Dim)
+    var i = 0
+    while (i < v.length) { v(i) = rng.nextGaussian(); i += 1 }
+    // VecOps.normalize's division, in place: the draws are this call's own.
+    val n = VecOps.norm(v)
+    if (n != 0.0) { i = 0; while (i < v.length) { v(i) /= n; i += 1 } }
+    v
   }
 
   /** Character 3- to 5-grams of a token with boundary markers (FastText-style). */

@@ -12,7 +12,7 @@ import repro.util.Par
   * asked for, per embedder. Like Starmie's offline index, a table's columns
   * are embedded once and every later query reads them (DESIGN.md §6).
   */
-final class TfIdf(idf: Map[String, Double], nDocs: Int) {
+final class TfIdf(idf: java.util.HashMap[String, java.lang.Double], nDocs: Int) {
 
   /** embedder (by value) → table (by reference; tables are immutable) →
     * its column embeddings. Guarded by its own lock; the embedding work
@@ -43,20 +43,26 @@ final class TfIdf(idf: Map[String, Double], nDocs: Int) {
   def withEmptyIndex(): TfIdf = new TfIdf(idf, nDocs)
 
   /** IDF of a token; unseen tokens get the max IDF. */
-  def idfOf(token: String): Double =
-    idf.getOrElse(token, math.log(1.0 + nDocs.toDouble))
+  def idfOf(token: String): Double = {
+    val d = idf.get(token)
+    if (d == null) math.log(1.0 + nDocs.toDouble) else d
+  }
 
   /** Top-[[TfIdf.TokenLimit]] (token, tf·idf weight) pairs of a column,
-    * weight-descending; ties broken lexicographically for determinism.
+    * weight-descending; ties broken lexicographically for determinism. A
+    * token's weight is `(count / n) * idf` for n tokens in the column.
     */
   def topTokens(values: Seq[String]): Vector[(String, Double)] = {
     val toks = Tokenizer.columnTokens(values)
     if (toks.isEmpty) return Vector.empty
-    val tf = toks.groupBy(identity).view.mapValues(_.size.toDouble / toks.size).toMap
-    tf.map { case (t, f) => (t, f * idfOf(t)) }
-      .toVector
-      .sortBy { case (t, w) => (-w, t) }
-      .take(TfIdf.TokenLimit)
+    val counts = new java.util.HashMap[String, Array[Int]]()
+    toks.foreach(TfIdf.increment(counts, _))
+    val n = toks.size
+    val weighted = new Array[(String, Double)](counts.size)
+    var i = 0
+    counts.forEach { (t, c) => weighted(i) = (t, c(0).toDouble / n * idfOf(t)); i += 1 }
+    java.util.Arrays.sort(weighted, TfIdf.ByWeight)
+    weighted.iterator.take(TfIdf.TokenLimit).toVector
   }
 }
 
@@ -64,19 +70,38 @@ object TfIdf {
   /** The paper's LM token limit. */
   val TokenLimit = 512
 
+  /** [[TfIdf.topTokens]]'s order: the old `sortBy((-w, t))` key, weight
+    * descending by `java.lang.Double.compare`, then token ascending.
+    */
+  private val ByWeight: java.util.Comparator[(String, Double)] = { (a, b) =>
+    val byW = java.lang.Double.compare(-a._2, -b._2)
+    if (byW != 0) byW else a._1.compareTo(b._1)
+  }
+
+  /** Adds one to `token`'s count in `counts`. */
+  private def increment(counts: java.util.HashMap[String, Array[Int]], token: String): Unit = {
+    val c = counts.get(token)
+    if (c == null) counts.put(token, Array(1)) else c(0) += 1
+  }
+
   /** Fit IDF over all columns of the given tables (queries + lake). Columns
-    * are tokenized in parallel; document frequencies are counted serially.
+    * are tokenized in parallel into their distinct tokens; document
+    * frequencies are counted serially. The IDF map is sized to the
+    * vocabulary, as it is kept for the lake's lifetime.
     */
   def fit(tables: Seq[SimpleTable]): TfIdf = {
     val cols = tables.flatMap(t => t.cols.indices.map(j => (t, j))).toIndexedSeq
     val docs = Par.tabulate(cols.size) { c =>
       val (t, j) = cols(c)
-      Tokenizer.columnTokens(t.columnValues(j)).toSet
+      val distinct = new java.util.HashSet[String]()
+      Tokenizer.columnTokens(t.columnValues(j)).foreach(distinct.add)
+      distinct
     }
     val n = math.max(1, docs.length)
-    val df = scala.collection.mutable.HashMap.empty[String, Int]
-    docs.foreach(_.foreach(tok => df.update(tok, df.getOrElse(tok, 0) + 1)))
-    val idf = df.iterator.map { case (t, d) => t -> math.log(1.0 + n.toDouble / d) }.toMap
+    val df = new java.util.HashMap[String, Array[Int]]()
+    docs.foreach(_.forEach(increment(df, _)))
+    val idf = new java.util.HashMap[String, java.lang.Double](df.size * 4 / 3 + 1)
+    df.forEach((t, d) => idf.put(t, math.log(1.0 + n.toDouble / d(0))))
     new TfIdf(idf, n)
   }
 }

@@ -32,30 +32,15 @@ object ScalingExperiment {
 
   final case class TimingRow(method: String, s: Int, k: Int, millis: Double)
 
-  /** Untimed calls of each method before its first row: a fresh JVM needs
-    * about five before CLT and DUST reach their steady time.
-    */
-  private val WarmUpCalls = 5
-
-  /** Timed calls per row; the row is their median. */
-  private val TimedCalls = 3
-
-  /** One row per (candidates, k) configuration and method, in order. Each
-    * method first runs [[WarmUpCalls]] times, untimed, on the first
-    * configuration, so JIT warm-up lands in no row; each row is the median
-    * of [[TimedCalls]] calls.
+  /** One row per (candidates, k) configuration and method, in order, each
+    * the median time of [[Fmt.medianTimes]] after its warm-up.
     */
   private def timings(configs: Seq[(Vector[EmbTuple], Int)]): Vector[TimingRow] = {
     val query = queryCloud(40)
     val algos = Vector[DivAlgo](Gmc(), Clt(), DustDiv())
-    configs.headOption.foreach { case (cands, k) =>
-      algos.foreach(a => (1 to WarmUpCalls).foreach(_ => a.select(cands, query, k)))
-    }
-    configs.toVector.flatMap { case (cands, k) =>
-      algos.map { a =>
-        val ns = Vector.fill(TimedCalls)(Fmt.timed(a.select(cands, query, k))._2).sorted
-        TimingRow(a.name, cands.size, k, ns(TimedCalls / 2) / 1e6)
-      }
+    val times = Fmt.medianTimes(configs, algos) { case ((cands, k), a) => a.select(cands, query, k) }
+    configs.toVector.zip(times).flatMap { case ((cands, k), row) =>
+      algos.zip(row).map { case (a, (_, ns)) => TimingRow(a.name, cands.size, k, ns / 1e6) }
     }
   }
 

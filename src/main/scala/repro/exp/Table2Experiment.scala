@@ -42,12 +42,14 @@ object Table2Experiment {
     val methods: Vector[DivAlgo] = Vector(Gmc(), Gne(), Clt(), DustDiv())
     val algos = methods.filter(a => includeGne || a.name != "GNE")
     val insts = instances(bench)
+    def kFor(inst: QueryInstance) = math.min(k, math.max(1, inst.cands.size - 1))
+    // Warm-up, then the median of three calls per query, as Fig 7 times.
+    val times = Fmt.medianTimes(insts, algos)((inst, a) => a.select(inst.cands, inst.queryEmb, kFor(inst)))
     var dustBeatsRandomAvg = 0; var dustBeatsRandomMin = 0
 
-    val perQuery = insts.map { inst =>
-      val kk = math.min(k, math.max(1, inst.cands.size - 1))
-      val scored = algos.map { a =>
-        val (sel, ns) = Fmt.timed(a.select(inst.cands, inst.queryEmb, kk))
+    val perQuery = insts.zip(times).map { case (inst, row) =>
+      val kk = kFor(inst)
+      val scored = algos.zip(row).map { case (a, (sel, ns)) =>
         DiversityWins.Scored(a.name, DiversityMetrics.diversity(inst.queryEmb, sel.map(_.vec)), Some(ns))
       }
 

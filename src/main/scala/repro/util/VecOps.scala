@@ -51,7 +51,13 @@ object VecOps {
   /** Unit-normalize (copy); zero vector stays zero. */
   def normalize(a: Array[Double]): Array[Double] = {
     val n = norm(a)
-    if (n == 0.0) a.clone() else a.map(_ / n)
+    if (n == 0.0) a.clone()
+    else {
+      val out = new Array[Double](a.length)
+      var i = 0
+      while (i < a.length) { out(i) = a(i) / n; i += 1 }
+      out
+    }
   }
 
   /** Element-wise mean of non-empty vector set. */
@@ -72,7 +78,8 @@ object VecOps {
     val total = ws.sum
     require(total > 0, "weights must have positive sum")
     val acc = new Array[Double](vs.head.length)
-    vs.zip(ws).foreach { case (v, w) => addInPlace(acc, v, w / total) }
+    val v = vs.iterator; val w = ws.iterator
+    while (v.hasNext) addInPlace(acc, v.next(), w.next() / total)
     acc
   }
 

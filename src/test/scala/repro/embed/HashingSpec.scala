@@ -1,7 +1,7 @@
 package repro.embed
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.util.VecOps
+import repro.util.{Rng, VecOps}
 
 class HashingSpec extends AnyFunSuite {
 
@@ -30,6 +30,20 @@ class HashingSpec extends AnyFunSuite {
       VecOps.cosineSim(Hashing.hashVec(s"k$i", 1), Hashing.hashVec(s"q$i", 1))
     }
     assert(math.abs(sims.sum / sims.size) < 0.05)
+  }
+
+  test("hashVec equals normalize(Array.fill(Dim)(nextGaussian)) bit for bit") {
+    def reference(key: String, salt: Long): Array[Double] = {
+      val rng = new Rng(Rng.mix(salt, Rng.hashString(key)))
+      val v = Array.fill(HashLm.Dim)(rng.nextGaussian())
+      val n = VecOps.norm(v)
+      if (n == 0.0) v.clone() else v.map(_ / n)
+    }
+    val keys = Vector("", "a", "ctx:", "ctx:t3c2v", "<ab", "\u0000cone", "日本") ++ (0 until 300).map(i => s"k$i")
+    for (key <- keys; salt <- Seq(0L, 1L, -7L, HashLm.roberta.salt, HashLm.fastText.salt)) {
+      val got = Hashing.hashVec(key, salt).map(java.lang.Double.doubleToRawLongBits)
+      assert(got.toSeq == reference(key, salt).map(java.lang.Double.doubleToRawLongBits).toSeq, s"$key $salt")
+    }
   }
 
   test("charNgrams produces padded n-grams") {

@@ -88,6 +88,40 @@ class VecOpsSpec extends AnyFunSuite {
     assert(VecOps.normalize(Array(0.0, 0.0)).toSeq == Seq(0.0, 0.0))
   }
 
+  private def bits(v: Array[Double]) = v.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  test("normalize equals a.map(_ / norm) bit for bit, on zero, -0.0 and subnormal entries") {
+    def reference(a: Array[Double]) = { val n = VecOps.norm(a); if (n == 0.0) a.clone() else a.map(_ / n) }
+    val rng = new Rng(29)
+    val tiny = java.lang.Double.MIN_VALUE
+    val vs = Vector.fill(100)(Array.fill(1 + rng.nextInt(70))(rng.nextGaussian())) ++ Vector(
+      Array.empty[Double], new Array[Double](8), Array.fill(8)(-0.0), Array(0.0, -0.0, 3.0, -0.0),
+      Array(tiny, -tiny, 5 * tiny), // subnormal only: the norm underflows to 0
+      Array(tiny, 1e-310, -2.5e-320, 1.0), Array(1e-160, 1e-160), Array(1e300, -1e300, 2.0))
+    vs.foreach { a =>
+      val copy = a.clone()
+      val got = VecOps.normalize(a)
+      assert(!(got eq a) && bits(a) == bits(copy))
+      assert(bits(got) == bits(reference(a)), a.toSeq)
+    }
+  }
+
+  test("weightedMean equals the zip form bit for bit on a List") {
+    def reference(vs: Seq[Array[Double]], ws: Seq[Double]) = {
+      val total = ws.sum
+      val acc = new Array[Double](vs.head.length)
+      vs.zip(ws).foreach { case (v, w) => VecOps.addInPlace(acc, v, w / total) }
+      acc
+    }
+    val rng = new Rng(31)
+    (1 to 60).foreach { n =>
+      val vs = List.fill(n)(Array.fill(16)(rng.nextGaussian()))
+      val ws = List.fill(n)(if (rng.nextInt(4) == 0) 0.0 else rng.nextDouble() * 3)
+      val ws1 = if (ws.sum > 0) ws else 1.0 :: ws.tail
+      assert(bits(VecOps.weightedMean(vs, ws1)) == bits(reference(vs, ws1)))
+    }
+  }
+
   test("mean averages element-wise") {
     val m = VecOps.mean(Seq(Array(1.0, 3.0), Array(3.0, 5.0)))
     assert(m.toSeq == Seq(2.0, 4.0))
