@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{Benchmarks, Fig5Stats}
+import repro.exp.Fig5Stats
 
 /** Fig 5 — benchmark statistics (lite-scale analogue of the paper's table). */
 class Fig5Bench extends AnyFunSuite {

@@ -5,7 +5,7 @@ import repro.core.DustModelSpec
 import repro.exp.Models
 
 /** Kernel harness for fine-tuning: DUST (RoBERTa)'s training run
-  * (`finetuneOnPairs` with its config, featurizing included), timed by
+  * (`DustModel.finetune` with its config, featurizing included), timed by
   * [[KernelTiming.time]]. Every run must give the pinned model.
   */
 class FineTuneBench extends AnyFunSuite {

@@ -9,16 +9,17 @@ import repro.exp.ScalingExperiment
 class ScalingBench extends AnyFunSuite {
 
   test("Fig 7(a): runtime vs number of candidate tuples s") {
-    val rows = ScalingExperiment.varyS(Seq(400, 800, 1600, 3200), k = 50)
-    println("\n=== Fig 7(a): diversification runtime vs s (k=50) ===")
+    val rows = ScalingExperiment.varyS()
+    println(s"\n=== Fig 7(a): diversification runtime vs s (k=${rows.head.k}) ===")
     println(ScalingExperiment.renderTimings(rows))
     println("Paper shape: GMC grows fastest with s; DUST near-linear with a small slope; CLT similar to DUST.")
 
     def t(m: String, s: Int) = rows.find(r => r.method == m && r.s == s).get.millis
+    val (lo, hi) = (rows.map(_.s).min, rows.map(_.s).max)
     // DUST is faster than GMC at the largest s (paper: >6x on SANTOS).
-    assert(t("DUST", 3200) < t("GMC", 3200), s"DUST ${t("DUST", 3200)} vs GMC ${t("GMC", 3200)}")
-    // GMC's growth from 400 to 3200 outpaces DUST's.
-    assert(t("GMC", 3200) / t("GMC", 400) > t("DUST", 3200) / t("DUST", 400) * 0.5)
+    assert(t("DUST", hi) < t("GMC", hi), s"DUST ${t("DUST", hi)} vs GMC ${t("GMC", hi)}")
+    // GMC's growth from the smallest to the largest s outpaces DUST's.
+    assert(t("GMC", hi) / t("GMC", lo) > t("DUST", hi) / t("DUST", lo) * 0.5)
   }
 
   test("Fig 7(b): runtime vs output size k") {
@@ -35,14 +36,14 @@ class ScalingBench extends AnyFunSuite {
   }
 
   test("A.2.3: pruning cuts DUST's runtime without changing its role") {
-    val rows = ScalingExperiment.pruningEffect(nTuples = 6000, s = 1500, k = 50)
-    println("\n=== A.2.3: effect of pruning (input 6000 tuples, s=1500, k=50) ===")
-    println(ScalingExperiment.renderPruning(rows))
-    println("Paper: 990 s/query without pruning vs 85 s with, at 10k -> 2500.")
+    val rows = ScalingExperiment.pruningEffect()
     val withP = rows.find(_.variant == "with pruning").get
     val withoutP = rows.find(_.variant == "without pruning").get
+    println(s"\n=== A.2.3: effect of pruning (input ${withP.inputSize} tuples, s=${withP.s}, k=${withP.k}) ===")
+    println(ScalingExperiment.renderPruning(rows))
+    println("Paper: 990 s/query without pruning vs 85 s with, at 10k -> 2500.")
     assert(withP.millis < withoutP.millis, "pruning must reduce runtime")
-    assert(withP.clusteredSize == 1500 && withoutP.clusteredSize == 6000)
+    assert(withP.clusteredSize == withP.s && withoutP.clusteredSize == withoutP.inputSize)
   }
 
   test("A.2.2: diversity gains plateau after p = 2") {

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{Benchmarks, Table1Experiment}
+import repro.exp.Table1Experiment
 
 /** Table 1 — column alignment effectiveness (P/R/F1, ten configurations ×
   * three benchmarks) plus the §6.2.5 per-query alignment times.
@@ -9,8 +9,7 @@ import repro.exp.{Benchmarks, Table1Experiment}
 class Table1Bench extends AnyFunSuite {
 
   test("Table 1: column alignment effectiveness") {
-    val benches = Seq(Benchmarks.tusSampled, Benchmarks.santos, Benchmarks.ugen)
-    val rows = Table1Experiment.run(benches)
+    val rows = Table1Experiment.run()
     println("\n=== Table 1: Column Alignment effectiveness (lite benchmarks) ===")
     println(Table1Experiment.render(rows))
     println("""Paper F1 for reference - TUS-Sampled: FastText .66, Glove .63, cBERT .59,
@@ -21,7 +20,7 @@ class Table1Bench extends AnyFunSuite {
     def f1(model: String, group: String, bench: String): Double =
       rows.find(r => r.model == model && r.serialization == group && r.benchmark == bench).get.f1
 
-    benches.map(_.name).foreach { b =>
+    rows.map(_.benchmark).distinct.foreach { b =>
       // Column-level RoBERTa is the production choice: it must beat every
       // cell-level LM variant and both Starmie variants (paper's conclusion).
       val target = f1("RoBERTa", "Column-level", b)

@@ -1,14 +1,15 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.Generators
 import repro.exp.{Benchmarks, Table2Experiment}
 
 /** Table 2 — tuple diversification effectiveness and efficiency. */
 class Table2Bench extends AnyFunSuite {
 
   test("Table 2: diversification wins and per-query time") {
-    val santos = Table2Experiment.run(Benchmarks.santos, Benchmarks.santosK, includeGne = false)
-    val ugen = Table2Experiment.run(Benchmarks.ugen, Benchmarks.ugenK, includeGne = true)
+    val santos = Table2Experiment.run(Generators.santosLite, Benchmarks.santosK, includeGne = false)
+    val ugen = Table2Experiment.run(Generators.ugenLite, Benchmarks.ugenK, includeGne = true)
     println("\n=== Table 2: Diversification algorithms (lite benchmarks) ===")
     println(Table2Experiment.render(santos, ugen))
     println("""Paper: SANTOS - GMC #Avg 23 #Min 1 556s; GNE -; CLT 0/0 82s; DUST 27/49 85s.

@@ -1,14 +1,15 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.Generators
 import repro.exp.{Benchmarks, Table3Experiment}
 
 /** Table 3 — DUST against table union search techniques (and the LLM). */
 class Table3Bench extends AnyFunSuite {
 
   test("Table 3: end-to-end diversity wins vs Starmie and the LLM") {
-    val santos = Table3Experiment.run(Benchmarks.santos, Benchmarks.santosK)
-    val ugen = Table3Experiment.run(Benchmarks.ugen, Benchmarks.ugenK)
+    val santos = Table3Experiment.run(Generators.santosLite, Benchmarks.santosK)
+    val ugen = Table3Experiment.run(Generators.ugenLite, Benchmarks.ugenK)
     println("\n=== Table 3: DUST vs table search techniques (lite benchmarks) ===")
     println(Table3Experiment.render(santos, ugen))
     println("""Paper: SANTOS - Starmie 5/1, LLM -, DUST 45/49.

@@ -3,9 +3,8 @@ package repro.bench
 import java.lang.Double.doubleToRawLongBits
 import scala.util.hashing.MurmurHash3
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.Tokenizer
+import repro.data.{Generators, Tokenizer}
 import repro.embed.{ColumnEmbedders, TfIdf}
-import repro.exp.Benchmarks
 
 /** Kernel harness for the token path of a cold lake (Starmie-style search
   * embeds every lake column): `TfIdf.fit` over SANTOS-lite's lake and
@@ -26,7 +25,7 @@ class TokenKernelBench extends AnyFunSuite {
   }
 
   test("token kernels on SANTOS-lite's lake, 1 warm-up and 5 timed runs") {
-    val b = Benchmarks.santos
+    val b = Generators.santosLite
     val tokens = b.lake.flatMap(t => t.cols.indices.flatMap(j => Tokenizer.columnTokens(t.columnValues(j))))
       .distinct.sorted
     println(s"\n=== Token kernels: SANTOS-lite lake (${b.lake.size} tables, ${tokens.size} distinct tokens) ===")

@@ -1,6 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
+import repro.data.Generators
 import repro.exp._
 
 object JobUtil {
@@ -30,10 +31,8 @@ object Fig5Job {
 
 /** Table 1 — column alignment effectiveness. */
 object Table1Job {
-  def main(args: Array[String]): Unit = {
-    val rows = Table1Experiment.run(Seq(Benchmarks.tusSampled, Benchmarks.santos, Benchmarks.ugen))
-    println(Table1Experiment.render(rows))
-  }
+  def main(args: Array[String]): Unit =
+    println(Table1Experiment.render(Table1Experiment.run()))
 }
 
 /** Fig 6 — tuple representation accuracy. */
@@ -45,8 +44,8 @@ object Fig6Job {
 /** Table 2 — diversification effectiveness/efficiency. */
 object Table2Job {
   def main(args: Array[String]): Unit = {
-    val santos = Table2Experiment.run(Benchmarks.santos, Benchmarks.santosK, includeGne = false)
-    val ugen = Table2Experiment.run(Benchmarks.ugen, Benchmarks.ugenK, includeGne = true)
+    val santos = Table2Experiment.run(Generators.santosLite, Benchmarks.santosK, includeGne = false)
+    val ugen = Table2Experiment.run(Generators.ugenLite, Benchmarks.ugenK, includeGne = true)
     println(Table2Experiment.render(santos, ugen))
   }
 }
@@ -54,8 +53,8 @@ object Table2Job {
 /** Table 3 — DUST vs table search techniques. */
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    val santos = Table3Experiment.run(Benchmarks.santos, Benchmarks.santosK)
-    val ugen = Table3Experiment.run(Benchmarks.ugen, Benchmarks.ugenK)
+    val santos = Table3Experiment.run(Generators.santosLite, Benchmarks.santosK)
+    val ugen = Table3Experiment.run(Generators.ugenLite, Benchmarks.ugenK)
     println(Table3Experiment.render(santos, ugen))
   }
 }
@@ -63,9 +62,9 @@ object Table3Job {
 /** Fig 7 + A.2.2/A.2.3 — scaling, pruning and p analyses. */
 object ScalingJob {
   def main(args: Array[String]): Unit = {
-    println(ScalingExperiment.renderTimings(ScalingExperiment.varyS(Seq(400, 800, 1600, 3200), k = 50)))
+    println(ScalingExperiment.renderTimings(ScalingExperiment.varyS()))
     println(ScalingExperiment.renderTimings(ScalingExperiment.varyK(Seq(25, 50, 100, 200), s = 1200)))
-    println(ScalingExperiment.renderPruning(ScalingExperiment.pruningEffect(nTuples = 6000, s = 1500, k = 50)))
+    println(ScalingExperiment.renderPruning(ScalingExperiment.pruningEffect()))
     println(ScalingExperiment.renderPImpact(ScalingExperiment.pImpact(Seq(1, 2, 3, 4))))
   }
 }
@@ -73,5 +72,5 @@ object ScalingJob {
 /** Fig 8 — IMDB case study novel-value counts. */
 object CaseStudyJob {
   def main(args: Array[String]): Unit =
-    println(CaseStudyExperiment.render(CaseStudyExperiment.run(Seq(20, 40, 60))))
+    println(CaseStudyExperiment.render(CaseStudyExperiment.run()))
 }

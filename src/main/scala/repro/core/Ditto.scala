@@ -55,6 +55,6 @@ object Ditto {
   def train(base: TupleFeaturizer, bench: LakeBenchmark): (DustModel, DustModel.TrainStats) = {
     val pairs = emPairs(bench)
     val nVal = pairs.length / 10
-    DustModel.finetuneOnPairs(base, pairs.drop(nVal), pairs.take(nVal), DustModel.TrainConfig(seed = 777))
+    DustModel.finetune(base, pairs.drop(nVal), pairs.take(nVal), DustModel.TrainConfig(seed = 777))
   }
 }

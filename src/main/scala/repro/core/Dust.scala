@@ -53,8 +53,10 @@ object Dust {
     * [[ColumnEmbedders.dustDefault]]) → OuterUnion → EmbedTuples. The query
     * tuples and the union's tuples are embedded in one batch call, so a
     * tuple that occurs in both is embedded once and shares its array.
+    * The query's and the tables' names must be distinct.
     */
   def prepare(query: SimpleTable, tables: Vector[SimpleTable], model: DustModel, tfidf: TfIdf): Result = {
+    SimpleTable.requireDistinctNames(query +: tables, s"query ${query.name}")
     val aligned = ColumnAlignment.alignHolistic(query, tables, ColumnEmbedders.dustDefault, tfidf)
     val lakeTuples = OuterUnion.union(query, tables, aligned)
     val queryTuples = OuterUnion.queryTuples(query)

@@ -109,7 +109,7 @@ object DustModel {
     correct.toDouble / pairs.size
   }
 
-  /** Fine-tune over featurized pairs. Each element: (x1, x2, label).
+  /** Fine-tune on labeled [[FtPair]]s, each split featurized once by `base`.
     *
     * The SGD step allocates nothing per pair, and its result is fixed to the
     * bit by the operations below and their order (DESIGN.md §6, fine-tuning):
@@ -120,11 +120,17 @@ object DustModel {
     */
   def finetune(
       base: TupleFeaturizer,
-      train: IndexedSeq[(Array[Double], Array[Double], Int)],
-      validation: IndexedSeq[(Array[Double], Array[Double], Int)],
+      train: Seq[FtPair],
+      validation: Seq[FtPair],
       cfg: TrainConfig = TrainConfig(),
   ): (DustModel, TrainStats) = {
     require(train.nonEmpty, "empty training set")
+    def featurize(ps: Seq[FtPair]): IndexedSeq[(Array[Double], Array[Double], Int)] = {
+      val xs = base.featuresAll(ps.flatMap(p => Seq(p.t1, p.t2)))
+      ps.indices.map(i => (xs(2 * i), xs(2 * i + 1), ps(i).label))
+    }
+    val trainXs = featurize(train)
+    val validationXs = featurize(validation)
     val dIn = HashLm.Dim
     val rng = new Rng(cfg.seed)
     def initMat(rows: Int, colsN: Int): Array[Array[Double]] =
@@ -207,10 +213,10 @@ object DustModel {
     var epoch = 0
     var converged = false
     while (epoch < cfg.maxEpochs && !converged) {
-      val order = rng.permutation(train.size)
+      val order = rng.permutation(trainXs.size)
       var p = 0
       while (p < order.length) {
-        val (x1r, x2r, label) = train(order(p))
+        val (x1r, x2r, label) = trainXs(order(p))
         dropout(x1r, x1); dropout(x2r, x2)
         forward(w1, w2, x1, h1, e1); forward(w1, w2, x2, h2, e2)
         // cos(e1, e2) = cos(e2, e1) to the bit, so the loss is active for
@@ -226,7 +232,7 @@ object DustModel {
         }
         p += 1
       }
-      val vl = datasetLoss(if (validation.nonEmpty) validation else train)
+      val vl = datasetLoss(if (validationXs.nonEmpty) validationXs else trainXs)
       if (vl < bestVal - 1e-6) {
         bestVal = vl
         bestW1 = w1.map(_.clone()); bestW2 = w2.map(_.clone())
@@ -238,19 +244,5 @@ object DustModel {
       epoch += 1
     }
     (new DustModel(base, bestW1, bestW2), TrainStats(epoch, bestVal, converged))
-  }
-
-  /** Featurize labeled [[FtPair]]s once, then fine-tune. */
-  def finetuneOnPairs(
-      base: TupleFeaturizer,
-      train: Seq[FtPair],
-      validation: Seq[FtPair],
-      cfg: TrainConfig = TrainConfig(),
-  ): (DustModel, TrainStats) = {
-    def feat(ps: Seq[FtPair]) = {
-      val xs = base.featuresAll(ps.flatMap(p => Seq(p.t1, p.t2)))
-      ps.indices.map(i => (xs(2 * i), xs(2 * i + 1), ps(i).label))
-    }
-    finetune(base, feat(train), feat(validation), cfg)
   }
 }

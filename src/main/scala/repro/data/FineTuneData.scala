@@ -20,9 +20,7 @@ object FineTuneData {
       label: Int,
   )
 
-  final case class FtSplit(train: Vector[FtPair], validation: Vector[FtPair], test: Vector[FtPair]) {
-    def all: Vector[FtPair] = train ++ validation ++ test
-  }
+  final case class FtSplit(train: Vector[FtPair], validation: Vector[FtPair], test: Vector[FtPair])
 
   /** Build a balanced pair dataset over a benchmark's lake tables. */
   def build(bench: LakeBenchmark, nPairs: Int, labelNoise: Double = 0.08, seed: Long = 9001): FtSplit = {

@@ -12,6 +12,8 @@ final case class LakeBenchmark(
     queries: Vector[SimpleTable],
     lake: Vector[SimpleTable],
 ) {
+  SimpleTable.requireDistinctNames(queries ++ lake, s"benchmark $name")
+
   /** Ground-truth unionable lake tables for a query. */
   def unionableFor(q: SimpleTable): Vector[SimpleTable] = lake.filter(_.baseId == q.baseId)
 
@@ -238,7 +240,6 @@ object Generators {
         (1 + rng.nextInt(900)).toString,
       )
     }.toVector
-    val base = SimpleTable.dense("imdb-base", 0, cols, rows)
 
     def window(name: String, len: Int): SimpleTable = {
       val start = rng.nextInt(nMovies - len + 1)

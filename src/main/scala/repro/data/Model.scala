@@ -52,6 +52,12 @@ object SimpleTable {
   /** Convenience constructor for fully-present tables. */
   def dense(name: String, baseId: Int, cols: Vector[ColumnSpec], rows: Vector[Vector[String]]): SimpleTable =
     SimpleTable(name, baseId, cols, rows.map(_.map(Option(_))), rows.indices.toVector)
+
+  /** Requires distinct names: alignment, outer union and pruning key tables by name. */
+  private[repro] def requireDistinctNames(tables: Seq[SimpleTable], where: String): Unit = {
+    val repeated = tables.groupBy(_.name).collect { case (n, ts) if ts.size > 1 => n }
+    require(repeated.isEmpty, s"$where: repeated table names ${repeated.toSeq.sorted.mkString(", ")}")
+  }
 }
 
 /** Whitespace/punctuation tokenizer shared by all embedding models. */

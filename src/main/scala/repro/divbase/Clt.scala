@@ -14,5 +14,5 @@ final case class Clt() extends DivAlgo {
   val name = "CLT"
 
   def select(cands: Vector[EmbTuple], query: Vector[Array[Double]], k: Int): Vector[EmbTuple] =
-    DiversifyTuples.clusterMedoids(cands, k).take(k)
+    DiversifyTuples.clusterMedoids(cands, k)
 }

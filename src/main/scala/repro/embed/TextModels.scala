@@ -126,6 +126,4 @@ object HashLm {
     * the pre-trained flavor.
     */
   def dustBase(flavor: HashLm): HashLm = flavor.copy(aniso = 0.15)
-
-  val all: Vector[HashLm] = Vector(fastText, glove, bert, roberta, sbert)
 }

@@ -33,7 +33,8 @@ object CaseStudyExperiment {
     tuples.filter(t => seen.add(t.values))
   }
 
-  def run(ks: Seq[Int]): Vector[Row] = {
+  /** Every method's novel values at k = 20, 40 and 60. */
+  def run(): Vector[Row] = {
     val (query, lake) = Generators.imdbLite
     val bench = LakeBenchmark("IMDB-lite", Vector(query), lake)
     val tfidf = TfIdf.fit(lake :+ query)
@@ -52,7 +53,7 @@ object CaseStudyExperiment {
     val colIdx = Columns.map(c => c -> query.cols.indexWhere(_.header == c)).toMap
     require(colIdx.values.forall(_ >= 0), s"missing case-study columns in ${query.name}")
 
-    ks.toVector.flatMap { k =>
+    Vector(20, 40, 60).flatMap { k =>
       val methodTuples = baselines.map { case (m, all) => m -> all.take(k) } :+
         ("DUST" -> Dust.diversify(prepared, Dust.Config(k = k)).selected)
       for {

@@ -1,6 +1,6 @@
 package repro.exp
 
-import repro.data.LakeBenchmark
+import repro.data.{Generators, LakeBenchmark}
 
 /** Fig 5 — benchmark statistics table (#tables/#columns/#tuples for query
   * and lake sides, plus average unionable tables per query).
@@ -22,7 +22,7 @@ object Fig5Stats {
   )
 
   def all(): Vector[Row] =
-    Vector(Benchmarks.tus, Benchmarks.tusSampled, Benchmarks.santos, Benchmarks.ugen).map(row)
+    Vector(Generators.tusLite, Generators.tusSampledLite, Generators.santosLite, Generators.ugenLite).map(row)
 
   def render(rows: Seq[Row]): String = Fmt.table(
     Seq("Benchmark", "Q#Tables", "Q#Cols", "Q#Tuples", "DL#Tables", "DL#Cols", "DL#Tuples", "AvgUnionable/Query"),

@@ -2,6 +2,7 @@ package repro.exp
 
 import repro.core.{Ditto, DustModel, TupleFeaturizer}
 import repro.core.DustModel.TrainStats
+import repro.data.Generators
 import repro.embed.HashLm
 
 /** Trained-model registry shared by experiments and benches. Training is
@@ -17,7 +18,7 @@ object Models {
     * down-weights ubiquitous tokens).
     */
   lazy val sbertBase: TupleFeaturizer = {
-    val tfidf = Benchmarks.tfidfFor(Benchmarks.tus)
+    val tfidf = Benchmarks.tfidfFor(Generators.tusLite)
     TupleFeaturizer(HashLm.sbert, idf = Some(tfidf.idfOf))
   }
 
@@ -30,19 +31,19 @@ object Models {
   /** DUST (BERT): fine-tuned on the TUS pair benchmark, with its training stats. */
   lazy val dustBertFit: (DustModel, TrainStats) = {
     val s = Benchmarks.fineTune
-    DustModel.finetuneOnPairs(bertEncoder, s.train, s.validation, DustModel.TrainConfig(seed = 11))
+    DustModel.finetune(bertEncoder, s.train, s.validation, DustModel.TrainConfig(seed = 11))
   }
   lazy val dustBert: DustModel = dustBertFit._1
 
   /** DUST (RoBERTa)'s training run: the production model (§6.3.4) and its stats. */
   def fitDustRoberta(): (DustModel, TrainStats) = {
     val s = Benchmarks.fineTune
-    DustModel.finetuneOnPairs(robertaEncoder, s.train, s.validation, DustModel.TrainConfig(seed = 12))
+    DustModel.finetune(robertaEncoder, s.train, s.validation, DustModel.TrainConfig(seed = 12))
   }
   lazy val dustRobertaFit: (DustModel, TrainStats) = fitDustRoberta()
   lazy val dustRoberta: DustModel = dustRobertaFit._1
 
   /** Ditto: entity-matching fine-tuning of the same encoder. */
-  lazy val dittoFit: (DustModel, TrainStats) = Ditto.train(robertaEncoder, Benchmarks.tus)
+  lazy val dittoFit: (DustModel, TrainStats) = Ditto.train(robertaEncoder, Generators.tusLite)
   lazy val ditto: DustModel = dittoFit._1
 }

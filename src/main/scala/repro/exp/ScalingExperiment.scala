@@ -3,7 +3,7 @@ package repro.exp
 import repro.core.{DiversifyTuples, DiversityMetrics}
 import repro.core.DiversifyTuples.EmbTuple
 import repro.divbase._
-import repro.util.{Rng, VecOps}
+import repro.util.Rng
 
 /** Fig 7 + Appendices A.2.2/A.2.3 — runtime scaling of the diversification
   * algorithms over synthetic embedding clouds, the effect of pruning on
@@ -44,8 +44,8 @@ object ScalingExperiment {
     }
   }
 
-  /** Fig 7(a): vary the candidate count s at fixed k. */
-  def varyS(sValues: Seq[Int], k: Int): Vector[TimingRow] = timings(sValues.map(s => (cloud(s), k)))
+  /** Fig 7(a): vary the candidate count s from 400 to 3200 at k = 50. */
+  def varyS(): Vector[TimingRow] = timings(Seq(400, 800, 1600, 3200).map(s => (cloud(s), 50)))
 
   /** Fig 7(b): vary the output size k at fixed s. */
   def varyK(kValues: Seq[Int], s: Int): Vector[TimingRow] = {
@@ -54,11 +54,14 @@ object ScalingExperiment {
   }
 
   /** A.2.3: DUST runtime with and without pruning (same selection quality
-    * comparison is in the bench output).
+    * comparison is in the bench output). `s` and `k` are the run's pruning
+    * budget and output size; the unpruned variant clusters its whole input.
     */
-  final case class PruningRow(variant: String, inputSize: Int, clusteredSize: Int, millis: Double)
+  final case class PruningRow(variant: String, inputSize: Int, s: Int, k: Int, clusteredSize: Int, millis: Double)
 
-  def pruningEffect(nTuples: Int, s: Int, k: Int): Vector[PruningRow] = {
+  /** DUST on 6000 tuples at k = 50, pruned to s = 1500 and unpruned. */
+  def pruningEffect(): Vector[PruningRow] = {
+    val nTuples = 6000; val s = 1500; val k = 50
     val cands = cloud(nTuples)
     val query = queryCloud(40)
     val (withP, t1) = Fmt.timed {
@@ -71,8 +74,8 @@ object ScalingExperiment {
       cands.size
     }
     Vector(
-      PruningRow("with pruning", nTuples, withP, t1 / 1e6),
-      PruningRow("without pruning", nTuples, withoutP, t2 / 1e6),
+      PruningRow("with pruning", nTuples, s, k, withP, t1 / 1e6),
+      PruningRow("without pruning", nTuples, s, k, withoutP, t2 / 1e6),
     )
   }
 

@@ -1,7 +1,7 @@
 package repro.exp
 
 import repro.core.ColumnAlignment
-import repro.data.LakeBenchmark
+import repro.data.{Generators, LakeBenchmark}
 import repro.embed.{CellLevelEmbedder, ColumnEmbedder, ColumnLevelEmbedder, HashLm, StarmieEmbedder}
 
 /** Table 1 — column alignment effectiveness: P/R/F1 of ten embedding
@@ -60,8 +60,10 @@ object Table1Experiment {
     Row(m.group, m.display, bench.name, sp / n, sr / n, sf / n, totalNs / 1e6 / n)
   }
 
-  def run(benches: Seq[LakeBenchmark]): Vector[Row] =
-    (for { b <- benches; m <- methods } yield evalMethod(m, b)).toVector
+  /** Every method on TUS-Sampled-lite, SANTOS-lite and UGEN-lite, in that order. */
+  def run(): Vector[Row] =
+    Vector(Generators.tusSampledLite, Generators.santosLite, Generators.ugenLite)
+      .flatMap(b => methods.map(evalMethod(_, b)))
 
   /** The P/R/F1 table, then each benchmark's mean per-query alignment time. */
   def render(rows: Seq[Row]): String = {

@@ -41,7 +41,7 @@ object Table3Experiment {
         val starmieSel = model.embedAll(TupleSearch.topK(lakeTuples, dust.queryTuples, kk).map(_.pairs))
 
         // The LLM declines queries over its prompt budget (SANTOS's "-").
-        val llmSel = LlmSim.generate(q, kk).map(gs => model.embedAll(gs.map(_.pairs)))
+        val llmSel = LlmSim.generate(q, kk).map(model.embedAll)
 
         val perMethod =
           Vector("Starmie" -> starmieSel, "DUST" -> dust.selectedEmb) ++ llmSel.map(s => "LLM" -> s).toVector

@@ -58,16 +58,7 @@ object D3L {
     sigs.sum / sigs.size
   }
 
-  /** Table score: greedy best column matching over aggregated signals. */
-  def tableScore(q: SimpleTable, qEmb: IndexedSeq[Array[Double]], t: SimpleTable, tEmb: IndexedSeq[Array[Double]]): Double =
-    UnionSearch.greedyMatch(q.nCols, t.nCols)((qj, tj) => columnScore(q, qj, t, tj, qEmb(qj), tEmb(tj)))
-      .foldLeft(0.0)(_ + _._1) / q.nCols
-
-  /** Lake tables by descending score; one index read embeds what it misses. */
-  def rankTables(query: SimpleTable, bench: LakeBenchmark, tfidf: TfIdf): Vector[UnionSearch.Scored] = {
-    val embs = tfidf.columnEmbeddings(embedder, query +: bench.lake)
-    bench.lake.zip(embs.tail)
-      .map { case (t, tEmb) => UnionSearch.Scored(t, tableScore(query, embs.head, t, tEmb)) }
-      .sortBy(s => (-s.score, s.table.name))
-  }
+  /** D3L's ranking: [[UnionSearch.rankLake]] over [[columnScore]]. */
+  def rankTables(query: SimpleTable, bench: LakeBenchmark, tfidf: TfIdf): Vector[UnionSearch.Scored] =
+    UnionSearch.rankLake(query, bench, embedder, tfidf)((t, qe, te) => (i, j) => columnScore(query, i, t, j, qe(i), te(j)))
 }

@@ -19,23 +19,21 @@ object LlmSim {
   /** Novel generations before the output turns redundant. */
   val NoveltyBudget = 12
 
-  final case class GeneratedTuple(pairs: Vector[(String, String)])
-
-  /** Generate k tuples "unionable with" the query. Returns None when the
-    * query exceeds the prompt budget (the paper's "-" cells).
+  /** Generate k tuples "unionable with" the query, each as (header, value)
+    * pairs. Returns None when the query exceeds the prompt budget (the
+    * paper's "-" cells).
     */
-  def generate(query: SimpleTable, k: Int): Option[Vector[GeneratedTuple]] = {
+  def generate(query: SimpleTable, k: Int): Option[Vector[Vector[(String, String)]]] = {
     if (query.nRows > MaxPromptTuples) return None
     val rng = new Rng(Rng.mix(1234, Rng.hashString(query.name)))
     val seen = query.rows.flatMap(_.flatten).toSet
-    val out = Vector.newBuilder[GeneratedTuple]
-    val produced = scala.collection.mutable.ArrayBuffer.empty[GeneratedTuple]
+    val produced = scala.collection.mutable.ArrayBuffer.empty[Vector[(String, String)]]
     var i = 0
     while (i < k) {
       val g =
         if (i < NoveltyBudget || produced.isEmpty) {
           // Novel tuple: fresh values in the query's per-column vocabulary.
-          val pairs = query.cols.map { c =>
+          query.cols.map { c =>
             val v =
               if (c.numeric) (1000 + rng.nextInt(9000)).toString
               else if (rng.nextDouble() < 0.5) {
@@ -52,21 +50,18 @@ object LlmSim {
               }
             (c.header, v)
           }.toVector
-          GeneratedTuple(pairs)
         } else {
           // Redundant phase: regurgitate an earlier generation, perturbing
           // at most one numeric field.
-          val basePairs = produced(rng.nextInt(produced.length)).pairs
-          GeneratedTuple(basePairs.map { case (h, v) =>
+          produced(rng.nextInt(produced.length)).map { case (h, v) =>
             if (v.forall(_.isDigit) && rng.nextDouble() < 0.5)
               (h, (v.toInt + rng.nextInt(3)).toString)
             else (h, v)
-          })
+          }
         }
       produced += g
-      out += g
       i += 1
     }
-    Some(out.result())
+    Some(produced.toVector)
   }
 }

@@ -35,24 +35,29 @@ object UnionSearch {
     accepted.result()
   }
 
-  /** Greedy matching score, normalized by the number of query columns. */
-  def unionabilityScore(qEmb: Vector[Array[Double]], tEmb: Vector[Array[Double]]): Double = {
-    if (qEmb.isEmpty || tEmb.isEmpty) return 0.0
-    greedyMatch(qEmb.size, tEmb.size)((qj, tj) => VecOps.cosineSim(qEmb(qj), tEmb(tj)))
-      .foldLeft(0.0)(_ + _._1) / qEmb.size
-  }
-
-  /** Rank the whole lake against a query; descending score. Column
-    * embeddings come from the lake's index, so only the first query on a
-    * lake embeds it.
+  /** Table score: the [[greedyMatch]] scores under `pairScore`, summed in
+    * acceptance order, over `nq`; 0.0 when either side has no columns.
     */
-  def rankTables(query: SimpleTable, bench: LakeBenchmark,
-                 embedder: ColumnEmbedder, tfidf: TfIdf): Vector[Scored] = {
+  def matchScore(nq: Int, nt: Int)(pairScore: (Int, Int) => Double): Double =
+    if (nq == 0 || nt == 0) 0.0
+    else greedyMatch(nq, nt)(pairScore).foldLeft(0.0)(_ + _._1) / nq
+
+  /** The lake by descending [[matchScore]], ties by name; table t's column
+    * pairs score `pairScore(t, qEmb, tEmb)`. One index read, query first, so
+    * only the first query on a lake embeds it.
+    */
+  private[search] def rankLake(query: SimpleTable, bench: LakeBenchmark, embedder: ColumnEmbedder, tfidf: TfIdf)(
+      pairScore: (SimpleTable, Vector[Array[Double]], Vector[Array[Double]]) => (Int, Int) => Double): Vector[Scored] = {
     val embs = tfidf.columnEmbeddings(embedder, query +: bench.lake)
     bench.lake.zip(embs.tail)
-      .map { case (t, tEmb) => Scored(t, unionabilityScore(embs.head, tEmb)) }
+      .map { case (t, tEmb) => Scored(t, matchScore(embs.head.size, tEmb.size)(pairScore(t, embs.head, tEmb))) }
       .sortBy(s => (-s.score, s.table.name))
   }
+
+  /** Starmie's ranking: [[rankLake]] over the cosine of column embeddings. */
+  def rankTables(query: SimpleTable, bench: LakeBenchmark,
+                 embedder: ColumnEmbedder, tfidf: TfIdf): Vector[Scored] =
+    rankLake(query, bench, embedder, tfidf)((_, qe, te) => (i, j) => VecOps.cosineSim(qe(i), te(j)))
 
   /** Top-N unionable tables (the `SearchTables` step of Algorithm 1). */
   def searchTables(query: SimpleTable, bench: LakeBenchmark, topN: Int,

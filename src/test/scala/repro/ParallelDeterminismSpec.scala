@@ -81,7 +81,7 @@ class ParallelDeterminismSpec extends AnyFunSuite {
   }
 
   test("embedAll equals one table at a time on one worker for every Table 1 embedder") {
-    val b = Benchmarks.santos
+    val b = Generators.santosLite
     val tables = b.lake ++ b.queries
     val tfidf = Benchmarks.tfidfFor(b)
     Table1Experiment.methods.map(_.embedder).distinct.foreach { emb =>
@@ -145,7 +145,7 @@ class ParallelDeterminismSpec extends AnyFunSuite {
   }
 
   test("TfIdf.fit gives the serial document-frequency IDF on 1 and 8 workers") {
-    val b = Benchmarks.ugen
+    val b = Generators.ugenLite
     val tables = b.lake ++ b.queries
     val docs = tables.flatMap(t => t.cols.indices.map(j => Tokenizer.columnTokens(t.columnValues(j)).toSet))
     val df = docs.flatten.groupBy(identity).view.mapValues(_.size).toMap
@@ -184,7 +184,7 @@ class ParallelDeterminismSpec extends AnyFunSuite {
   }
 
   test("Dust.run selects the same ids on 1 and 8 workers") {
-    for (b <- Seq(Benchmarks.santos, Benchmarks.ugen); q <- b.queries.take(2)) {
+    for (b <- Seq(Generators.santosLite, Generators.ugenLite); q <- b.queries.take(2)) {
       val cfg = Dust.Config(k = 10, s = Benchmarks.pruneS)
       val Seq((_, one), (_, eight)) = onePoolAndEight(Dust.run(q, b, model, cfg))
       assert(eight.selected.map(_.id) == one.selected.map(_.id), s"${b.name}/${q.name}")

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.Generators
-import repro.embed.{ColumnEmbedders, TfIdf}
+import repro.embed.ColumnEmbedders
 import repro.exp.Benchmarks
 
 class ColumnAlignmentSpec extends AnyFunSuite {

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec}
 import repro.core.DiversifyTuples.EmbTuple
+import repro.divbase.DustDiv
 import repro.util.{Rng, VecOps}
 
 class DiversifyTuplesSpec extends SparkSpec {
@@ -44,6 +45,25 @@ class DiversifyTuplesSpec extends SparkSpec {
     val t2 = (0 until 10).toVector.map(i => EmbTuple(100L + i, "b", Array(-10.0, -10.0 - i * 1e-3)))
     val kept = DiversifyTuples.prune(t1 ++ Vector(out1) ++ t2, 1)
     assert(kept.head.id == 50L)
+  }
+
+  /** Twelve tie-heavy trials of (candidates, query, trial): few prototypes,
+    * each copied many times across few tables, plus zero vectors and -0.0
+    * entries; the query holds copies of candidates, so distance-0 ties reach
+    * the re-rank's min and average.
+    */
+  private lazy val tieHeavy: Vector[(Vector[EmbTuple], Vector[Array[Double]], Int)] = {
+    val rng = new Rng(29)
+    (0 until 12).toVector.map { trial =>
+      val dim = 2 + trial % 7
+      val protos = Vector.fill(3 + trial)(Array.tabulate(dim)(i => if (i == trial % dim) -0.0 else rng.nextGaussian())) ++
+        Vector(new Array[Double](dim), Array.fill(dim)(-0.0))
+      val n = 60 + 20 * trial
+      val ts = (0 until n).toVector.map(i =>
+        EmbTuple(i.toLong, s"t${rng.nextInt(1 + trial % 4)}", protos(rng.nextInt(protos.size))))
+      val query = Vector.fill(1 + trial % 5)(protos(rng.nextInt(protos.size))) :+ ts(rng.nextInt(n)).vec
+      (ts, query, trial)
+    }
   }
 
   // ---------------- clustering / medoids ----------------
@@ -145,18 +165,8 @@ class DiversifyTuplesSpec extends SparkSpec {
         (t, ds.min, ds.sum / ds.size)
       }.sortBy { case (t, mn, avg) => (-mn, -avg, t.id) }.take(k).map(_._1)
 
-    val rng = new Rng(29)
-    for (trial <- 0 until 12) {
-      // Few prototypes, each copied many times across few tables, plus zero
-      // vectors and -0.0 entries; the query holds copies of candidates, so
-      // distance-0 ties reach the re-rank's min and average.
-      val dim = 2 + trial % 7
-      val protos = Vector.fill(3 + trial)(Array.tabulate(dim)(i => if (i == trial % dim) -0.0 else rng.nextGaussian())) ++
-        Vector(new Array[Double](dim), Array.fill(dim)(-0.0))
-      val n = 60 + 20 * trial
-      val ts = (0 until n).toVector.map(i =>
-        EmbTuple(i.toLong, s"t${rng.nextInt(1 + trial % 4)}", protos(rng.nextInt(protos.size))))
-      val query = Vector.fill(1 + trial % 5)(protos(rng.nextInt(protos.size))) :+ ts(rng.nextInt(n)).vec
+    for ((ts, query, trial) <- tieHeavy) {
+      val n = ts.size
       val s = n / 2 + trial
       val pruned = DiversifyTuples.prune(ts, s)
       assert(pruned.map(_.id) == refPrune(ts, s).map(_.id), s"prune trial $trial")
@@ -168,6 +178,13 @@ class DiversifyTuplesSpec extends SparkSpec {
             s"rerank trial $trial m=$m k=$k")
       }
       assert(DiversifyTuples.rerank(ts, query, n).map(_.id) == refRerank(ts, query, n).map(_.id), s"rerank trial $trial")
+    }
+  }
+
+  test("DustDiv(p) selects rerank(clusterMedoids(cands, k * p)) on tie-heavy input") {
+    for ((ts, query, trial) <- tieHeavy; p <- Seq(1, 2, 4); k <- Seq(1, 5, 17)) {
+      val composed = DiversifyTuples.rerank(DiversifyTuples.clusterMedoids(ts, k * p), query, k)
+      assert(DustDiv(p).select(ts, query, k).map(_.id) == composed.map(_.id), s"trial $trial p=$p k=$k")
     }
   }
 

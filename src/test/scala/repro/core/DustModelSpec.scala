@@ -56,8 +56,8 @@ class DustModelSpec extends AnyFunSuite {
     val tiny = FineTuneData.build(repro.data.Generators.ugenLite, nPairs = 200, seed = 5)
     val base = TupleFeaturizer(HashLm.dustBase(HashLm.roberta))
     val cfg = DustModel.TrainConfig(maxEpochs = 3, seed = 99)
-    val m1 = DustModel.finetuneOnPairs(base, tiny.train, tiny.validation, cfg)._1
-    val m2 = DustModel.finetuneOnPairs(base, tiny.train, tiny.validation, cfg)._1
+    val m1 = DustModel.finetune(base, tiny.train, tiny.validation, cfg)._1
+    val m2 = DustModel.finetune(base, tiny.train, tiny.validation, cfg)._1
     val p = Seq(("h", "v"))
     assert(m1.embed(p).toSeq == m2.embed(p).toSeq)
   }
@@ -66,7 +66,7 @@ class DustModelSpec extends AnyFunSuite {
     val tiny = FineTuneData.build(repro.data.Generators.ugenLite, nPairs = 200, seed = 6)
     val base = TupleFeaturizer(HashLm.dustBase(HashLm.roberta))
     val cfg = DustModel.TrainConfig(maxEpochs = 30, patience = 5, seed = 3)
-    val fit = DustModel.finetuneOnPairs(base, tiny.train, tiny.validation, cfg)
+    val fit = DustModel.finetune(base, tiny.train, tiny.validation, cfg)
     assert(fit._2.converged && fit._2.epochsRun < cfg.maxEpochs)
     // Best at epoch 11 of 16: the model is that epoch's snapshot, not the last.
     assert(pin(fit) == "396f383d0b62efca2f9d4457b39a9ed48e8f3e81d52f4233a7f5eb3dcff5c5d0 16 3fcf2ba6b734c3fc true")

@@ -44,7 +44,7 @@ class DustPipelineSpec extends SparkSpec {
       tfidfOpt = Some(Benchmarks.tfidfFor(bench)))
     assert(sparkRes.selected.map(_.id) == result.selected.map(_.id))
     // SANTOS-lite's first query, with search, at a larger k and s.
-    val santos = Benchmarks.santos
+    val santos = Generators.santosLite
     val sq = santos.queries.head
     val santosCfg = Dust.Config(topN = 6, k = 20, s = 400)
     val tfidf = Some(Benchmarks.tfidfFor(santos))
@@ -94,7 +94,7 @@ class DustPipelineSpec extends SparkSpec {
   }
 
   test("the top of rankTables as tablesOverride selects what search selects (Table 3)") {
-    for (b <- Seq(Benchmarks.santos, Benchmarks.ugen); bq <- b.queries if b.unionableFor(bq).nonEmpty) {
+    for (b <- Seq(Generators.santosLite, Generators.ugenLite); bq <- b.queries if b.unionableFor(bq).nonEmpty) {
       val tfidf = Benchmarks.tfidfFor(b)
       val c = Dust.Config(topN = b.unionableFor(bq).size, k = 10)
       val ranked = UnionSearch.rankTables(bq, b, ColumnEmbedders.dustDefault, tfidf)
@@ -111,6 +111,20 @@ class DustPipelineSpec extends SparkSpec {
     val tfidf = Some(Benchmarks.tfidfFor(bench))
     intercept[IllegalArgumentException](Dust.run(empty, bench, model, cfg, tfidfOpt = tfidf))
     intercept[IllegalArgumentException](Dust.runSpark(spark, empty, bench, model, cfg, tfidfOpt = tfidf))
+  }
+
+  test("a query's tables must have distinct names, none the query's own") {
+    // SANTOS-lite's first query with four of its unionable tables renamed
+    // "dup": only their column indices would tell them apart.
+    val santos = Generators.santosLite
+    val sq = santos.queries.head
+    val dups = santos.unionableFor(sq).take(4).map(_.copy(name = "dup"))
+    assert(dups.size == 4)
+    val tfidf = Benchmarks.tfidfFor(santos)
+    intercept[IllegalArgumentException](Dust.prepare(sq, dups, model, tfidf))
+    intercept[IllegalArgumentException](
+      Dust.run(sq, santos, model, Dust.Config(k = 10, s = 40), tfidfOpt = Some(tfidf), tablesOverride = Some(dups)))
+    intercept[IllegalArgumentException](Dust.prepare(sq, Vector(dups.head.copy(name = sq.name)), model, tfidf))
   }
 
   test("Config rejects topN, k or s below 1") {
@@ -137,7 +151,7 @@ class DustPipelineSpec extends SparkSpec {
   }
 
   test("neither engine selects a tuple with no aligned value (Table 3 setting)") {
-    for ((b, k) <- Seq(Benchmarks.santos -> Benchmarks.santosK, Benchmarks.ugen -> Benchmarks.ugenK);
+    for ((b, k) <- Seq(Generators.santosLite -> Benchmarks.santosK, Generators.ugenLite -> Benchmarks.ugenK);
          bq <- b.queries if b.unionableFor(bq).nonEmpty) {
       val tfidf = Some(Benchmarks.tfidfFor(b))
       val c = Dust.Config(topN = b.unionableFor(bq).size, k = k)

@@ -5,6 +5,9 @@ import org.scalatest.funsuite.AnyFunSuite
 class FineTuneDataSpec extends AnyFunSuite {
   private lazy val split = FineTuneData.build(Generators.tusLite, nPairs = 1000, labelNoise = 0.0, seed = 1)
 
+  /** Every pair of a split: train, then validation, then test. */
+  private def all(s: FineTuneData.FtSplit): Vector[FineTuneData.FtPair] = s.train ++ s.validation ++ s.test
+
   test("split sizes follow 70/15/15") {
     assert(split.train.size == 700)
     assert(split.validation.size == 150)
@@ -12,16 +15,16 @@ class FineTuneDataSpec extends AnyFunSuite {
   }
 
   test("dataset is balanced overall") {
-    val pos = split.all.count(_.label == 1)
+    val pos = all(split).count(_.label == 1)
     assert(math.abs(pos - 500) == 0)
   }
 
   test("all labels are 0 or 1") {
-    assert(split.all.forall(p => p.label == 0 || p.label == 1))
+    assert(all(split).forall(p => p.label == 0 || p.label == 1))
   }
 
   test("pairs carry non-empty tuples") {
-    assert(split.all.forall(p => p.t1.nonEmpty && p.t2.nonEmpty))
+    assert(all(split).forall(p => p.t1.nonEmpty && p.t2.nonEmpty))
   }
 
   test("noise-free positives share a base vocabulary prefix") {
@@ -30,7 +33,7 @@ class FineTuneDataSpec extends AnyFunSuite {
       t.iterator.map(_._2).flatMap(Tokenizer.tokens)
         .find(tok => tok.startsWith("t") && tok.contains("v"))
         .map(_.takeWhile(_ != 'c'))
-    val positives = split.all.filter(_.label == 1)
+    val positives = all(split).filter(_.label == 1)
     val checkable = positives.flatMap { p =>
       for (b1 <- baseOf(p.t1); b2 <- baseOf(p.t2)) yield b1 == b2
     }
@@ -42,7 +45,7 @@ class FineTuneDataSpec extends AnyFunSuite {
       t.iterator.map(_._2).flatMap(Tokenizer.tokens)
         .find(tok => tok.startsWith("t") && tok.contains("v"))
         .map(_.takeWhile(_ != 'c'))
-    val negatives = split.all.filter(_.label == 0)
+    val negatives = all(split).filter(_.label == 0)
     val checkable = negatives.flatMap { p =>
       for (b1 <- baseOf(p.t1); b2 <- baseOf(p.t2)) yield b1 != b2
     }
@@ -52,7 +55,7 @@ class FineTuneDataSpec extends AnyFunSuite {
   test("label noise flips roughly the configured fraction") {
     val noisy = FineTuneData.build(Generators.tusLite, nPairs = 2000, labelNoise = 0.5, seed = 2)
     val clean = FineTuneData.build(Generators.tusLite, nPairs = 2000, labelNoise = 0.0, seed = 2)
-    val flips = noisy.all.zip(clean.all).count { case (a, b) => a.label != b.label }
+    val flips = all(noisy).zip(all(clean)).count { case (a, b) => a.label != b.label }
     assert(flips > 800 && flips < 1200)
   }
 

@@ -1,7 +1,6 @@
 package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.util.Rng
 
 class GeneratorsSpec extends AnyFunSuite {
   private lazy val tus = Generators.tusLite
@@ -166,6 +165,12 @@ class GeneratorsSpec extends AnyFunSuite {
     val t = SimpleTable.dense("x", 0, Vector(ColumnSpec("a", 0, numeric = false)), Vector(Vector("1")))
     assert(t.rows == Vector(Vector(Some("1"))))
     assert(t.baseRowIds == Vector(0))
+  }
+
+  test("a benchmark with two same-name tables is rejected") {
+    val t = SimpleTable.dense("dup", 0, Vector(ColumnSpec("a", 0, numeric = false)), Vector(Vector("1")))
+    intercept[IllegalArgumentException](LakeBenchmark("dups", Vector.empty, Vector(t, t.copy(baseId = 1))))
+    intercept[IllegalArgumentException](LakeBenchmark("dups", Vector(t), Vector(t.copy(baseId = 1))))
   }
 
   test("ragged rows are rejected") {

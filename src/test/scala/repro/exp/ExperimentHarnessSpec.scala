@@ -23,13 +23,13 @@ class ExperimentHarnessSpec extends AnyFunSuite {
 
   test("Table1 single-method evaluation produces sane P/R/F1") {
     val r = Table1Experiment.evalMethod(
-      Table1Experiment.methods(6), Benchmarks.ugen)
+      Table1Experiment.methods(6), Generators.ugenLite)
     assert(r.p >= 0 && r.p <= 1 && r.r >= 0 && r.r <= 1 && r.f1 >= 0 && r.f1 <= 1)
     assert(r.avgTimeMs > 0)
   }
 
   test("Table2 instances share the pruned candidate sets across algorithms") {
-    val insts = Table2Experiment.instances(Benchmarks.ugen, s = 50)
+    val insts = Table2Experiment.instances(Generators.ugenLite, s = 50)
     assert(insts.nonEmpty)
     insts.foreach { i =>
       assert(i.cands.size <= 50)
@@ -41,7 +41,7 @@ class ExperimentHarnessSpec extends AnyFunSuite {
   private def bits(v: Array[Double]): Seq[Long] = v.toSeq.map(java.lang.Double.doubleToRawLongBits)
 
   test("Table2 instances equal alignment, outer union, embedding and pruning composed one by one") {
-    val bench = Benchmarks.ugen
+    val bench = Generators.ugenLite
     val tfidf = Benchmarks.tfidfFor(bench)
     val model = Models.dustRoberta
     val expected = bench.queries.filter(bench.unionableFor(_).nonEmpty).map { q =>

@@ -2,7 +2,7 @@ package repro.search
 
 import java.lang.Double.doubleToRawLongBits
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.{Generators, LakeBenchmark}
+import repro.data.{Generators, LakeBenchmark, SimpleTable}
 import repro.embed.TfIdf
 import repro.exp.Benchmarks
 
@@ -34,16 +34,28 @@ class D3LSpec extends AnyFunSuite {
     assert(D3L.formatSim(digits, digits.reverse) > D3L.formatSim(digits, words))
   }
 
-  test("tableScore favors same-base tables") {
+  /** D3L's table score, this spec's own copy of the formula: greedy column
+    * matching over the aggregated signals, the accepted scores averaged over
+    * the query's columns.
+    */
+  private def tableScore(q: SimpleTable, qEmb: IndexedSeq[Array[Double]], t: SimpleTable, tEmb: IndexedSeq[Array[Double]]): Double =
+    UnionSearch.greedyMatch(q.nCols, t.nCols)((qj, tj) => D3L.columnScore(q, qj, t, tj, qEmb(qj), tEmb(tj)))
+      .foldLeft(0.0)(_ + _._1) / q.nCols
+
+  test("matchScore over columnScore favors same-base tables") {
     val same = bench.unionableFor(q).head
     val diff = bench.lake.find(_.baseId != q.baseId).get
     val Seq(qEmb, sameEmb, diffEmb) = tfidf.columnEmbeddings(D3L.embedder, Vector(q, same, diff))
-    assert(D3L.tableScore(q, qEmb, same, sameEmb) > D3L.tableScore(q, qEmb, diff, diffEmb))
+    def score(t: SimpleTable, tEmb: Vector[Array[Double]]) =
+      UnionSearch.matchScore(q.nCols, t.nCols)((qj, tj) => D3L.columnScore(q, qj, t, tj, qEmb(qj), tEmb(tj)))
+    assert(score(same, sameEmb) > score(diff, diffEmb))
   }
 
   test("rankTables reads the index once and gives the per-table reads' order and scores, bit for bit") {
     val (imdbQuery, imdbLake) = Generators.imdbLite
+    val santos = Generators.santosLite
     val inputs = Seq(
+      (santos.queries.head, santos, TfIdf.fit(santos.lake ++ santos.queries)),
       (q, bench, TfIdf.fit(bench.lake ++ bench.queries)),
       (imdbQuery, LakeBenchmark("IMDB-lite", Vector(imdbQuery), imdbLake), TfIdf.fit(imdbLake :+ imdbQuery)),
     )
@@ -52,7 +64,7 @@ class D3LSpec extends AnyFunSuite {
       val perTable = fitted.withEmptyIndex()
       val reference = b.lake.map { t =>
         val Seq(qEmb, tEmb) = perTable.columnEmbeddings(D3L.embedder, Vector(query, t))
-        UnionSearch.Scored(t, D3L.tableScore(query, qEmb, t, tEmb))
+        UnionSearch.Scored(t, tableScore(query, qEmb, t, tEmb))
       }.sortBy(s => (-s.score, s.table.name))
       val ranked = D3L.rankTables(query, b, fitted.withEmptyIndex())
       assert(ranked.map(_.table.name) == reference.map(_.table.name), b.name)

@@ -19,20 +19,20 @@ class LlmSimSpec extends AnyFunSuite {
 
   test("generated tuples have the query's headers") {
     val out = LlmSim.generate(q, 5).get
-    out.foreach(g => assert(g.pairs.map(_._1) == q.cols.map(_.header)))
+    out.foreach(g => assert(g.map(_._1) == q.cols.map(_.header)))
   }
 
   test("early tuples are novel w.r.t. the query values") {
     val out = LlmSim.generate(q, 6).get
     val seen = q.rows.flatMap(_.flatten).toSet
     out.take(6).foreach { g =>
-      g.pairs.foreach { case (_, v) => assert(!seen.contains(v)) }
+      g.foreach { case (_, v) => assert(!seen.contains(v)) }
     }
   }
 
   test("late tuples become redundant (the paper's observation)") {
     val out = LlmSim.generate(q, 30).get
-    val distinct = out.map(_.pairs).distinct.size
+    val distinct = out.distinct.size
     assert(distinct < 30, s"all $distinct generations distinct — no redundancy")
   }
 
